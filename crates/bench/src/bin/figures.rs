@@ -25,15 +25,14 @@
 //! plus p50/p99 *service* latency and p50/p99 scheduler *queue* delay
 //! as separate distributions, and writes `BENCH_serve.json`
 //! (`seculator-bench-serve-v2`, stamped with the host's core and
-//! scheduler-lane counts). It honors `--quick` the same way
+//! crypto-thread counts). It honors `--quick` the same way
 //! `throughput` does; `--check` exits 1 unless every point is
-//! bit-identical and collision-free and — on a host with ≥4 scheduler
-//! lanes backed by ≥4 real cores — aggregate throughput grows
-//! monotonically from 1→4 sessions with ≥1.8x at 4.
+//! bit-identical and collision-free, every point's aggregate rate is
+//! ≥0.95x the 1-session rate, and scheduler bookkeeping stays ≤10% of
+//! wall at 64 sessions — on any core count.
 //!
 //! `daemon` runs the closed-loop `seculatord` load test over the
-//! deterministic loopback wire: the full daemon conformance campaign at
-//! scheduler worker counts {1, 4} (summaries must be byte-identical),
+//! deterministic loopback wire: the full daemon conformance campaign,
 //! the same-seed serve campaign as the bit-identity anchor, then a
 //! sustained-RPS phase across every clean tenant. Stdout carries only
 //! deterministic lines (CI diffs two runs byte-for-byte); wall-clock
@@ -1232,8 +1231,9 @@ fn serve_exp(quick: bool, check: bool) {
 
     println!("Multi-session scheduler sweep: each point admits N tenant sessions");
     println!("of the same model under a seeded open-loop arrival process (one");
-    println!("cumulative splitmix gap per tenant) and one shared weight Arc, so");
-    println!("same-layer tenants fuse into batched crypto lanes. Aggregate rate");
+    println!("cumulative splitmix gap per tenant) and one shared weight Arc.");
+    println!("Each round steps every running tenant once, in order, on one");
+    println!("thread; only the per-block crypto fans out. Aggregate rate");
     println!("counts every CTR pad issued (one pad = one 64 B block sealed or");
     println!("opened); service latency (promotion→done) and scheduler queue");
     println!("delay (arrival→promotion) are separate distributions.\n");
@@ -1249,14 +1249,14 @@ fn serve_exp(quick: bool, check: bool) {
     }
     const ARRIVAL_SEED: u64 = 0x5EC0_1A70;
 
-    let reps: u32 = if quick { 6 } else { 32 };
+    let reps: u32 = if quick { 16 } else { 32 };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let threads = rayon::current_num_threads().max(1);
     let models = campaign_models();
     let model = &models[0]; // grouped-cnn: the largest zoo member
     let reference = infer_plain(&model.layers, &model.input, model.session.shift);
     println!(
-        "model: {} ({} layers), best of {reps} samples, {cores} cores, {threads} scheduler lanes\n",
+        "model: {} ({} layers), best of {reps} samples, {cores} cores, {threads} crypto threads\n",
         model.name,
         model.layers.len()
     );
@@ -1305,7 +1305,7 @@ fn serve_exp(quick: bool, check: bool) {
         let mut arrival = 0u64;
         for tenant in 0..n as u32 {
             // Open-loop arrivals: cumulative 0/1-round gaps, so bursts
-            // of same-layer tenants still align and fuse.
+            // of tenants arrive together and contend for admission.
             arrival += mix(&mut rng) % 2;
             mgr.admit(AdmitSpec {
                 tenant,
@@ -1413,21 +1413,16 @@ fn serve_exp(quick: bool, check: bool) {
         rows.push(row);
     }
 
-    // Regression note: the earlier sweep showed aggregate blocks/sec
-    // drooping past 8 sessions (~682k @ 8 → ~652k @ 64). The `sched ms`
-    // column isolates the cause: per-round scheduler bookkeeping
-    // (arrival scan, promotion, harvest, ledger absorption) grows with
-    // the tenant count and was previously folded into service latency.
-    // The span is recorded per run as `scheduler_ns` so future sweeps
-    // can tell scheduler overhead from datapath regressions.
+    // The `sched ms` column is per-round bookkeeping only (arrivals,
+    // sweeps, wakes, admission); tenant layer steps run outside its
+    // window, so a rising share means bookkeeping, never compute.
+    let sched_pct = |r: &ServeRow| 100.0 * r.scheduler_ms / r.wall_ms;
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
-        let frac = |r: &ServeRow| 100.0 * r.scheduler_ms / r.wall_ms;
         println!(
-            "\nscheduler overhead: {:.1}% of wall at {} session(s) → {:.1}% at {} — \
-the droop past 8 sessions is bookkeeping, now reported separately as scheduler_ns",
-            frac(first),
+            "\nscheduler overhead: {:.1}% of wall at {} session(s) → {:.1}% at {}",
+            sched_pct(first),
             first.sessions,
-            frac(last),
+            sched_pct(last),
             last.sessions
         );
     }
@@ -1467,40 +1462,42 @@ the droop past 8 sessions is bookkeeping, now reported separately as scheduler_n
 
     if check {
         // Correctness gates (bit-identity, zero collisions) already ran
-        // as hard asserts above on every point. The scaling gate only
-        // binds where scaling is physically possible: ≥4 scheduler
-        // lanes backed by ≥4 real cores (lanes without cores are pure
-        // oversubscription). There, aggregate throughput must grow
-        // monotonically from 1→4 sessions and clear 1.8x at 4.
-        if threads >= 4 && cores >= 4 {
-            let agg: Vec<f64> = rows
-                .iter()
-                .take(3)
-                .map(|r| r.blocks as f64 / (r.wall_ms / 1e3))
-                .collect();
-            if !(agg[1] > agg[0] && agg[2] > agg[1]) {
+        // as hard asserts above on every point. The scaling gate binds
+        // on every host: more tenants may not cost aggregate throughput,
+        // and the scheduler's own bookkeeping may not grow into a
+        // visible share of wall time.
+        let agg = |r: &ServeRow| r.blocks as f64 / (r.wall_ms / 1e3);
+        let base = agg(&rows[0]);
+        let mut failed = false;
+        for r in &rows[1..] {
+            let ratio = agg(r) / base;
+            if ratio < 0.95 {
                 eprintln!(
-                    "FAIL: aggregate blocks/sec not monotonic over 1→2→4 sessions \
-({:.0} → {:.0} → {:.0})",
-                    agg[0], agg[1], agg[2]
+                    "FAIL: {} sessions aggregate only {ratio:.2}x the 1-session rate \
+(need ≥0.95x)",
+                    r.sessions
                 );
-                std::process::exit(1);
+                failed = true;
             }
-            let gain = agg[2] / agg[0];
-            if gain < 1.8 {
-                eprintln!(
-                    "FAIL: 4-session aggregate only {gain:.2}x the 1-session rate \
-(need ≥1.8x with {threads} scheduler lanes)"
-                );
-                std::process::exit(1);
-            }
-            println!("check: monotonic 1→4 sessions, {gain:.2}x at 4 — OK");
-        } else {
-            println!(
-                "check: bit-identity and pad-collision gates passed on every point; \
-scaling gate skipped ({threads} scheduler lane(s) on {cores} core(s), need ≥4 of both)"
-            );
         }
+        let last = rows.last().expect("the sweep has points");
+        if sched_pct(last) > 10.0 {
+            eprintln!(
+                "FAIL: scheduler bookkeeping is {:.1}% of wall at {} sessions (need ≤10%)",
+                sched_pct(last),
+                last.sessions
+            );
+            failed = true;
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        println!(
+            "check: every point ≥0.95x the 1-session rate, scheduler {:.1}% of wall at {} \
+sessions (≤10%) — OK",
+            sched_pct(last),
+            last.sessions
+        );
     }
 }
 
@@ -1521,33 +1518,16 @@ fn daemon_exp(quick: bool, check: bool) {
     let load_requests: u32 = if quick { 2 } else { 6 };
     let clients = sessions - 1; // every tenant but the planted tampered one
 
-    // Conformance at two scheduler-worker counts: the summaries must be
-    // byte-identical — worker count may never leak into results.
-    let run_at = |workers: usize| {
-        run_daemon_campaign(&DaemonCampaignConfig {
-            seed: DAEMON_SEED,
-            sessions,
-            step_workers: workers,
-            home_root: None,
-            load_requests,
-        })
-    };
-    let ref_report = run_at(1);
+    let report = run_daemon_campaign(&DaemonCampaignConfig {
+        seed: DAEMON_SEED,
+        sessions,
+        home_root: None,
+        load_requests,
+    });
     assert!(
-        ref_report.passed(),
-        "daemon campaign failed at 1 worker:\n{}",
-        ref_report.summary()
-    );
-    let wide = run_at(4);
-    assert!(
-        wide.passed(),
-        "daemon campaign failed at 4 workers:\n{}",
-        wide.summary()
-    );
-    assert_eq!(
-        ref_report.summary(),
-        wide.summary(),
-        "daemon summary drifted with scheduler worker count"
+        report.passed(),
+        "daemon campaign failed:\n{}",
+        report.summary()
     );
 
     // Same-seed anchor: the serve campaign checks its tenants against
@@ -1565,26 +1545,28 @@ fn daemon_exp(quick: bool, check: bool) {
 
     // Deterministic stdout only — wall-clock numbers go to the JSON so
     // CI can diff two --quick runs byte-for-byte.
-    println!("{}", ref_report.summary().trim_end());
+    println!("{}", report.summary().trim_end());
     println!(
-        "bit-identical across scheduler workers {{1, 4}} and to the \
-same-seed serve campaign ({} tenants, {} pads, 0 collisions)",
+        "bit-identical to the same-seed serve campaign ({} tenants, {} pads, 0 collisions)",
         sessions, anchor.pads_issued
     );
     println!(
         "load phase: {} clean clients × {} requests = {} served over the wire",
-        clients, load_requests, ref_report.load_served
+        clients, load_requests, report.load_served
     );
 
-    // Wall-clock stats come from the widest run (closest to deployment).
-    let mut lat_ms: Vec<f64> = wide.latencies_ns.iter().map(|&n| n as f64 / 1e6).collect();
+    let mut lat_ms: Vec<f64> = report
+        .latencies_ns
+        .iter()
+        .map(|&n| n as f64 / 1e6)
+        .collect();
     let pct = |v: &mut Vec<f64>, p: f64| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         v[((v.len() - 1) as f64 * p).round() as usize]
     };
     let p50_ms = pct(&mut lat_ms, 0.50);
     let p99_ms = pct(&mut lat_ms, 0.99);
-    let rps = wide.load_served as f64 / (wide.load_wall_ns as f64 / 1e9);
+    let rps = report.load_served as f64 / (report.load_wall_ns as f64 / 1e9);
     let json = format!(
         "{{\n  \"schema\": \"seculator-bench-daemon-v1\",\n  \"quick\": {quick},\n  \
 \"seed\": {DAEMON_SEED},\n  \"sessions\": {sessions},\n  \"clients\": {clients},\n  \
@@ -1592,11 +1574,11 @@ same-seed serve campaign ({} tenants, {} pads, 0 collisions)",
 \"sustained_rps\": {rps:.1},\n  \"p50_ms\": {p50_ms:.3},\n  \"p99_ms\": {p99_ms:.3},\n  \
 \"pads_issued\": {},\n  \"pad_collisions\": {},\n  \"auth_probe_rejected\": {},\n  \
 \"drain_ok\": {},\n  \"bit_identical\": true\n}}\n",
-        wide.load_served,
-        ref_report.pads_issued,
-        ref_report.pad_collisions,
-        ref_report.auth_probe_rejected,
-        ref_report.drain_ok
+        report.load_served,
+        report.pads_issued,
+        report.pad_collisions,
+        report.auth_probe_rejected,
+        report.drain_ok
     );
     write_or_die("BENCH_daemon.json", &json);
     println!("\nwrote BENCH_daemon.json");
@@ -1608,17 +1590,14 @@ same-seed serve campaign ({} tenants, {} pads, 0 collisions)",
             eprintln!("FAIL: only {clients} concurrent clean clients (need ≥8)");
             std::process::exit(1);
         }
-        if ref_report.pad_collisions != 0 {
+        if report.pad_collisions != 0 {
             eprintln!(
                 "FAIL: {} pad collisions across the daemon lifetime",
-                ref_report.pad_collisions
+                report.pad_collisions
             );
             std::process::exit(1);
         }
-        println!(
-            "check: {clients} concurrent clients, byte-identical summaries at \
-workers {{1, 4}}, zero pad collisions — OK"
-        );
+        println!("check: {clients} concurrent clients, zero pad collisions — OK");
     }
 }
 

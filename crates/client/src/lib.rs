@@ -231,9 +231,6 @@ pub struct DaemonCampaignConfig {
     pub seed: u64,
     /// Tenant sessions (mirrors the serve campaign's `sessions`).
     pub sessions: u32,
-    /// Scheduler worker threads (output is bit-identical for any
-    /// value — that is one of the things the campaign checks).
-    pub step_workers: usize,
     /// Optional durable-home root for every admitted request.
     pub home_root: Option<std::path::PathBuf>,
     /// Closed-loop load phase: this many *extra* requests per clean
@@ -359,10 +356,9 @@ pub fn run_daemon_campaign(config: &DaemonCampaignConfig) -> DaemonCampaignRepor
     let plan = serve_plan(config.seed, sessions, &models);
 
     let daemon_cfg = DaemonConfig {
-        seed: config.seed,
-        step_workers: config.step_workers,
         max_inflight: plan.max_inflight,
         home_root: config.home_root.clone(),
+        ..DaemonConfig::new(config.seed)
     };
     let net = LoopbackNet::new(&daemon_cfg, config.seed);
 

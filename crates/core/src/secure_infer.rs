@@ -18,8 +18,7 @@ use crate::fault::{AccessCtx, CrashClock, CrashPhase, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker};
 use crate::mac_verify::{EagerLayerVerifier, LayerMacVerifier};
 use crate::secure_memory::{
-    seal_lanes_fused, Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, FusedLane,
-    UntrustedDram,
+    Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram,
 };
 use crate::telemetry;
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
@@ -913,97 +912,6 @@ pub(crate) fn open_journaled_cursor(
     ))
 }
 
-/// Precomputed pure work for one tenant lane of a fused cross-tenant
-/// layer step: both channel-group convolutions over the lane's resident
-/// activations and the sealed `v_part = 1` partial tile, exactly as
-/// attempt 0 of [`step_journaled_layer_prepared`] would compute them in
-/// place. Everything here is a pure function of the cursor state
-/// (activations, layer weights, per-tenant datapath), so consuming it
-/// is bit-identical to recomputing it — and re-executions
-/// (`attempt > 0`) always recompute, because their version numbers
-/// differ and no pad may ever be generated twice.
-#[derive(Debug)]
-pub(crate) struct FusedPrework {
-    partial: seculator_compute::quant::QAccum3,
-    rest: seculator_compute::quant::QAccum3,
-    sealed: Vec<(Block, [u8; 32])>,
-}
-
-/// Fuses the pure prework of one layer step across tenant lanes that
-/// share a weight set and sit at the same layer: a fused convolution
-/// sweep (one scoped thread per lane when workers are available)
-/// followed by the fused first seal through
-/// [`seal_lanes_fused`]. *Compute fuses; nothing cryptographic does* —
-/// each lane seals under its own datapath (keys, nonce space), and each
-/// lane's telemetry spans carry its own tenant tag. The stateful
-/// machinery (crash ticks, pad tracking, injector-visible stores, MAC
-/// registers, journal appends) is untouched here; it runs inside the
-/// per-tenant step exactly as it would solo.
-pub(crate) fn prepare_fused_layer(
-    layers: &[QConvLayer],
-    lanes: &[(u64, &JournaledCursor)],
-) -> Vec<FusedPrework> {
-    let Some(&(_, first)) = lanes.first() else {
-        return Vec::new();
-    };
-    let li = first.next_layer;
-    let Some(layer) = layers.get(li as usize) else {
-        return Vec::new();
-    };
-    debug_assert!(
-        lanes.iter().all(|&(_, c)| c.next_layer == li),
-        "fused lanes must sit at the same layer"
-    );
-    let groups = &layer.channel_groups;
-    let (head, rest_groups) = if groups.len() > 1 {
-        groups.split_at(1)
-    } else {
-        (&groups[..], &[][..])
-    };
-    let conv_lane = |&(tenant, cursor): &(u64, &JournaledCursor)| {
-        let _scope = telemetry::tenant_scope(tenant);
-        let partial = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head);
-        let rest = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest_groups);
-        let pblocks = accum_to_blocks(&partial);
-        let pcoords = tile_coords(li, li, 1, pblocks.len());
-        (partial, rest, pcoords, pblocks)
-    };
-    let conv: Vec<_> = if lanes.len() < 2 || rayon::current_num_threads() <= 1 {
-        lanes.iter().map(conv_lane).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .map(|lane| s.spawn(|| conv_lane(lane)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fused conv lane panicked"))
-                .collect()
-        })
-    };
-    let seal_lanes: Vec<FusedLane<'_>> = lanes
-        .iter()
-        .zip(conv.iter())
-        .map(|(&(tenant, cursor), (_, _, pcoords, pblocks))| FusedLane {
-            datapath: &cursor.datapath,
-            tenant,
-            key: u64::from(li),
-            coords: pcoords,
-            blocks: pblocks,
-        })
-        .collect();
-    let sealed = seal_lanes_fused(&seal_lanes);
-    conv.into_iter()
-        .zip(sealed)
-        .map(|((partial, rest, _, _), sealed)| FusedPrework {
-            partial,
-            rest,
-            sealed,
-        })
-        .collect()
-}
-
 /// Executes and commits exactly one layer of a journaled run —
 /// [`infer_resilient`]'s two-version write plan and recovery ladder,
 /// plus (a) a [`CrashClock`] tick on every stateful step, (b) the
@@ -1012,29 +920,13 @@ pub(crate) fn prepare_fused_layer(
 /// commit point after which a crash costs at most the *next* layer's
 /// work. On success the cursor advances to the next layer; on abort the
 /// incident log travels out inside the report and the cursor is spent.
+#[allow(clippy::too_many_lines)]
 pub(crate) fn step_journaled_layer(
     layers: &[QConvLayer],
     session: &SecureSession,
     cursor: &mut JournaledCursor,
     durable: &mut DurableState,
     instruments: &mut Instruments<'_>,
-) -> Result<(), JournaledError> {
-    step_journaled_layer_prepared(layers, session, cursor, durable, instruments, None)
-}
-
-/// [`step_journaled_layer`] with optional [`FusedPrework`] from a
-/// cross-tenant fused batch. The prework is a cache of attempt 0's pure
-/// computations and is consumed only there; the recovery ladder and all
-/// stateful machinery run unchanged, so a lane that refetches,
-/// re-executes, crashes, or aborts behaves exactly as it would solo.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn step_journaled_layer_prepared(
-    layers: &[QConvLayer],
-    session: &SecureSession,
-    cursor: &mut JournaledCursor,
-    durable: &mut DurableState,
-    instruments: &mut Instruments<'_>,
-    mut prework: Option<FusedPrework>,
 ) -> Result<(), JournaledError> {
     let li = cursor.next_layer;
     let Some(layer) = layers.get(li as usize) else {
@@ -1052,13 +944,6 @@ pub(crate) fn step_journaled_layer_prepared(
     loop {
         let v_part = attempt * 2 + 1;
         let v_full = attempt * 2 + 2;
-        // Prework caches attempt 0's pure results only; any re-execution
-        // recomputes from scratch under its own fresh version numbers.
-        let pre = if attempt == 0 { prework.take() } else { None };
-        let (pre_partial, pre_rest, pre_sealed) = match pre {
-            Some(p) => (Some(p.partial), Some(p.rest), Some(p.sealed)),
-            None => (None, None, None),
-        };
         let mut lv = EagerLayerVerifier::new();
 
         // One interruptible instant per output channel: a power cut
@@ -1067,8 +952,7 @@ pub(crate) fn step_journaled_layer_prepared(
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let partial = pre_partial
-            .unwrap_or_else(|| qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head));
+        let partial = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head);
         let (k, h, w) = (partial.k, partial.h, partial.w);
         let pblocks = accum_to_blocks(&partial);
         let nblocks = pblocks.len() as u64;
@@ -1082,17 +966,9 @@ pub(crate) fn step_journaled_layer_prepared(
         // Stage spans attribute wall time to this layer in the
         // telemetry event ring — the substrate of the per-layer
         // breakdown in `figures throughput` and `--metrics` dumps.
-        // The fused path already sealed this exact tile (and emitted the
-        // seal span under this tenant's tag) in `prepare_fused_layer`.
-        let sealed = match pre_sealed {
-            Some(s) => {
-                debug_assert_eq!(s.len(), pblocks.len(), "prework tile must match");
-                s
-            }
-            None => {
-                let _stage = telemetry::stage_span("seal", u64::from(li));
-                cursor.datapath.seal_blocks(&pcoords, &pblocks)
-            }
+        let sealed = {
+            let _stage = telemetry::stage_span("seal", u64::from(li));
+            cursor.datapath.seal_blocks(&pcoords, &pblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
             tick(&mut instruments.clock, li, CrashPhase::PartialEvict)
@@ -1156,8 +1032,7 @@ pub(crate) fn step_journaled_layer_prepared(
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let mut full = pre_rest
-            .unwrap_or_else(|| qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest));
+        let mut full = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
         for kk in 0..k {
             for y in 0..h {
                 for x in 0..w {

@@ -508,84 +508,6 @@ impl CryptoDatapath {
     }
 }
 
-/// One tenant's share of a fused cross-tenant crypto batch: its own
-/// datapath (own keys, own nonce space), its tenant tag for telemetry
-/// attribution, and the per-block inputs for one tile.
-///
-/// Fusion is *compute-only*: lanes share nothing cryptographic. Each
-/// lane runs its own [`CryptoDatapath::seal_blocks`] /
-/// [`CryptoDatapath::open_blocks`] call under its own
-/// [`telemetry::tenant_scope`], so the per-lane results — ciphertexts,
-/// MACs, and telemetry counters — are bit-identical to a solo call by
-/// construction.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedLane<'a> {
-    /// The lane's own crypto datapath (per-tenant keys and nonce space).
-    pub datapath: &'a CryptoDatapath,
-    /// Tenant tag stamped on the lane's telemetry spans.
-    pub tenant: u64,
-    /// Stage-span key — the layer id in the journaled datapath, so a
-    /// fused lane emits exactly the `("seal"/"open", layer)` event a
-    /// solo step would have.
-    pub key: u64,
-    /// Block coordinates, one per block.
-    pub coords: &'a [BlockCoords],
-    /// Block contents (plaintext for seal, ciphertext for open).
-    pub blocks: &'a [Block],
-}
-
-/// Seals every lane of a fused cross-tenant batch, returning per-lane
-/// results in lane order. With ≥2 lanes and ≥2 worker threads the lanes
-/// fan out across scoped OS threads (the rayon shim inlines small
-/// batches, and lanes are few); otherwise they run inline. Either way
-/// each lane's output is exactly what a solo
-/// [`CryptoDatapath::seal_blocks`] call under a
-/// `stage_span("seal", key)` would produce.
-#[must_use]
-pub fn seal_lanes_fused(lanes: &[FusedLane<'_>]) -> Vec<Vec<(Block, [u8; 32])>> {
-    run_lanes_fused(lanes, "seal", |lane| {
-        lane.datapath.seal_blocks(lane.coords, lane.blocks)
-    })
-}
-
-/// Opens every lane of a fused cross-tenant batch — the open-side twin
-/// of [`seal_lanes_fused`], with the same per-lane solo-equivalence
-/// contract.
-#[must_use]
-pub fn open_lanes_fused(lanes: &[FusedLane<'_>]) -> Vec<Vec<(Block, [u8; 32])>> {
-    run_lanes_fused(lanes, "open", |lane| {
-        lane.datapath.open_blocks(lane.coords, lane.blocks)
-    })
-}
-
-/// Runs `op` once per lane under that lane's tenant scope and stage
-/// span, inline or on scoped threads depending on lane count and
-/// configured workers.
-fn run_lanes_fused<F>(
-    lanes: &[FusedLane<'_>],
-    stage: &'static str,
-    op: F,
-) -> Vec<Vec<(Block, [u8; 32])>>
-where
-    F: Fn(&FusedLane<'_>) -> Vec<(Block, [u8; 32])> + Sync,
-{
-    let scoped = |lane: &FusedLane<'_>| {
-        let _tenant = telemetry::tenant_scope(lane.tenant);
-        let _span = telemetry::stage_span(stage, lane.key);
-        op(lane)
-    };
-    if lanes.len() < 2 || rayon::current_num_threads() <= 1 {
-        return lanes.iter().map(scoped).collect();
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = lanes.iter().map(|lane| s.spawn(|| scoped(lane))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fused crypto lane panicked"))
-            .collect()
-    })
-}
-
 /// Key-schedule cache for repeated datapath construction.
 ///
 /// Every [`CryptoDatapath::with_epoch`] call pays three derivations: the
@@ -888,92 +810,6 @@ mod tests {
             b.seal_blocks(&coords, &blocks)
         );
         assert_eq!(cache.cached_mac_engines(), 2);
-    }
-
-    #[test]
-    fn fused_lanes_are_bit_identical_to_solo_calls_per_tenant() {
-        // Three tenants, distinct secrets and nonces, ragged tile sizes
-        // (1 lane also exercises the inline path).
-        let dps: Vec<CryptoDatapath> = (0..3)
-            .map(|i| CryptoDatapath::new(DeviceSecret::from_seed(100 + i), 500 + i))
-            .collect();
-        let tiles: Vec<(Vec<BlockCoords>, Vec<Block>)> =
-            [3u32, 17, 8].iter().map(|&n| tile(n)).collect();
-        for lanes_n in 1..=3usize {
-            let lanes: Vec<FusedLane<'_>> = (0..lanes_n)
-                .map(|i| FusedLane {
-                    datapath: &dps[i],
-                    tenant: i as u64,
-                    key: 1,
-                    coords: &tiles[i].0,
-                    blocks: &tiles[i].1,
-                })
-                .collect();
-            let fused = seal_lanes_fused(&lanes);
-            assert_eq!(fused.len(), lanes_n);
-            for (i, lane_out) in fused.iter().enumerate() {
-                let solo = dps[i].seal_blocks(&tiles[i].0, &tiles[i].1);
-                assert_eq!(*lane_out, solo, "seal lane {i} of {lanes_n}");
-            }
-            let cts: Vec<Vec<Block>> = fused
-                .iter()
-                .map(|lane| lane.iter().map(|(ct, _)| *ct).collect())
-                .collect();
-            let open_lanes: Vec<FusedLane<'_>> = (0..lanes_n)
-                .map(|i| FusedLane {
-                    datapath: &dps[i],
-                    tenant: i as u64,
-                    key: 1,
-                    coords: &tiles[i].0,
-                    blocks: &cts[i],
-                })
-                .collect();
-            let opened = open_lanes_fused(&open_lanes);
-            for (i, lane_out) in opened.iter().enumerate() {
-                let solo = dps[i].open_blocks(&tiles[i].0, &cts[i]);
-                assert_eq!(*lane_out, solo, "open lane {i} of {lanes_n}");
-                for (j, (pt, _)) in lane_out.iter().enumerate() {
-                    assert_eq!(*pt, tiles[i].1[j], "roundtrip lane {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "telemetry")]
-    fn fused_lanes_tag_spans_with_their_tenant() {
-        let dps: Vec<CryptoDatapath> = (0..2)
-            .map(|i| CryptoDatapath::new(DeviceSecret::from_seed(40 + i), 9))
-            .collect();
-        let (c0, b0) = tile(4);
-        let (c1, b1) = tile(6);
-        let lanes = [
-            FusedLane {
-                datapath: &dps[0],
-                tenant: 0xFE_0001,
-                key: 5,
-                coords: &c0,
-                blocks: &b0,
-            },
-            FusedLane {
-                datapath: &dps[1],
-                tenant: 0xFE_0002,
-                key: 5,
-                coords: &c1,
-                blocks: &b1,
-            },
-        ];
-        let cursor = telemetry::event_cursor();
-        let _ = seal_lanes_fused(&lanes);
-        let events = telemetry::events_since(cursor);
-        for t in [0xFE_0001u64, 0xFE_0002] {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.tenant == t && e.stage == "seal" && e.key == 5),
-                "lane tenant {t:#x} missing its seal span: {events:?}"
-            );
-        }
     }
 
     #[test]

@@ -71,9 +71,9 @@ use crate::fault::{
 use crate::journal::{campaign_models, CampaignModel, DurableState, PadTracker};
 use crate::retry::{RobustnessPolicy, SheddingPolicy};
 use crate::secure_infer::{
-    infer_journaled, infer_plain, open_journaled_cursor, open_resume_cursor, prepare_fused_layer,
-    step_journaled_layer_prepared, FusedPrework, Instruments, JournaledCursor, JournaledError,
-    JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
+    infer_journaled, infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer,
+    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, RecoveryPolicy,
+    SecureSession,
 };
 use crate::secure_memory::{BlockCoords, DatapathCache};
 use crate::telemetry::{self, Counter, LayerRow};
@@ -332,61 +332,17 @@ type PadKey = (DeviceSecret, u64, u32, BlockCoords);
 /// Within one session the [`PadTracker`] already fails closed on reuse;
 /// this ledger extends the assertion *across* sessions, where distinct
 /// derived keys are what keeps equal counters harmless.
-///
-/// The ledger is internally *sharded* by a deterministic hash of the
-/// pad identity, so the parallel scheduler can absorb many sessions'
-/// pads concurrently ([`Self::absorb_all`]) with each worker owning a
-/// disjoint shard range — no lock, no serialization point. Shard count
-/// is fixed at construction ([`Self::sharded`]); the recorded set and
-/// collision count are independent of both the shard count and the
-/// absorption order (set semantics: `collisions = insertions −
-/// distinct`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PadLedger {
-    shards: Vec<HashSet<PadKey>>,
+    pads: HashSet<PadKey>,
     collisions: u64,
 }
 
-impl Default for PadLedger {
-    fn default() -> Self {
-        Self::sharded(1)
-    }
-}
-
 impl PadLedger {
-    /// An empty single-shard ledger (serial use).
+    /// An empty ledger.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The one shard-aware constructor every caller — serve report,
-    /// chaos report, ledger self-test, parallel scheduler — goes
-    /// through: sizes the shard count to the expected session
-    /// concurrency (rounded up to a power of two, clamped to `1..=64`).
-    #[must_use]
-    pub fn sharded(sessions_hint: usize) -> Self {
-        let shards = sessions_hint.clamp(1, 64).next_power_of_two();
-        Self {
-            shards: (0..shards).map(|_| HashSet::new()).collect(),
-            collisions: 0,
-        }
-    }
-
-    /// Number of internal shards (a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic shard routing: [`std::collections::hash_map::DefaultHasher`]
-    /// seeded via `new()` is keyed with constants, so the same pad maps
-    /// to the same shard in every run and every thread.
-    fn shard_of(key: &PadKey, shards: usize) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (shards - 1)
     }
 
     /// Records one issued pad; returns `false` (and counts a collision)
@@ -398,9 +354,7 @@ impl PadLedger {
         epoch: u32,
         coords: BlockCoords,
     ) -> bool {
-        let key = (secret, nonce, epoch, coords);
-        let idx = Self::shard_of(&key, self.shards.len());
-        if self.shards[idx].insert(key) {
+        if self.pads.insert((secret, nonce, epoch, coords)) {
             true
         } else {
             self.collisions += 1;
@@ -411,7 +365,7 @@ impl PadLedger {
     /// Distinct pads recorded.
     #[must_use]
     pub fn pads(&self) -> u64 {
-        self.shards.iter().map(|s| s.len() as u64).sum()
+        self.pads.len() as u64
     }
 
     /// Collisions observed (must be 0 for isolated sessions).
@@ -425,61 +379,6 @@ impl PadLedger {
         for &(epoch, coords) in tracker.issued() {
             self.insert(session.secret, session.nonce, epoch, coords);
         }
-    }
-
-    /// Absorbs every session's pads with shard-parallel workers: each
-    /// scoped thread owns a contiguous run of shards, sweeps *all*
-    /// items, and inserts only the pads that hash into its shards —
-    /// disjoint writes, no locking. Collision counts are summed across
-    /// workers; because each shard sees the same insertions it would
-    /// have seen serially, the result is identical to calling
-    /// [`Self::absorb`] per session for any worker count.
-    pub fn absorb_all(&mut self, items: &[(&SecureSession, &PadTracker)]) {
-        self.absorb_all_with(items, rayon::current_num_threads());
-    }
-
-    /// [`Self::absorb_all`] with an explicit worker count (tests force
-    /// the parallel path regardless of the machine's core count).
-    fn absorb_all_with(&mut self, items: &[(&SecureSession, &PadTracker)], workers: usize) {
-        let shards = self.shards.len();
-        let workers = workers.min(shards);
-        if workers <= 1 || items.len() < 2 {
-            for &(session, tracker) in items {
-                self.absorb(session, tracker);
-            }
-            return;
-        }
-        let per = shards.div_ceil(workers);
-        let new_collisions: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(w, chunk)| {
-                    s.spawn(move || {
-                        let lo = w * per;
-                        let mut local = 0u64;
-                        for &(session, tracker) in items {
-                            for &(epoch, coords) in tracker.issued() {
-                                let key = (session.secret, session.nonce, epoch, coords);
-                                let idx = Self::shard_of(&key, shards);
-                                if (lo..lo + chunk.len()).contains(&idx)
-                                    && !chunk[idx - lo].insert(key)
-                                {
-                                    local += 1;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ledger shard worker panicked"))
-                .sum()
-        });
-        self.collisions += new_collisions;
     }
 }
 
@@ -514,9 +413,9 @@ pub struct ServeReport {
     /// `telemetry` feature is off.
     pub session_rows: Vec<LayerRow>,
     /// Exact wall nanoseconds of pre-step scheduler bookkeeping summed
-    /// over every round (arrivals, sweeps, wakes, admission, fusion
-    /// planning) — the overhead that grows with session count and was
-    /// previously folded invisibly into service latency.
+    /// over every round (arrivals, sweeps, wakes, admission) — tenant
+    /// layer steps run outside this window, so no compute is booked
+    /// here.
     pub scheduler_ns: u64,
 }
 
@@ -549,10 +448,6 @@ pub struct SessionManager {
     pressure: u32,
     /// Clean rounds accumulated toward the next restore.
     clean_rounds: u64,
-    /// Worker threads the scheduler fans tenant layer steps across
-    /// (default: the configured rayon thread count). `1` = the legacy
-    /// serial loop. Outputs are bit-identical for any value.
-    step_workers: usize,
     /// Telemetry-event cursor at construction: report-time stage
     /// attribution scans tenant-tagged events from here.
     events_from: u64,
@@ -563,8 +458,8 @@ pub struct SessionManager {
     /// repeat submissions, and re-admissions alike.
     lifetime_ledger: PadLedger,
     /// Exact scheduler-overhead accumulator: wall nanoseconds spent per
-    /// round on arrivals, budget sweeps, backoff wakes, admission, and
-    /// fusion planning — everything *before* tenant layer steps run.
+    /// round on arrivals, budget sweeps, backoff wakes, and admission —
+    /// everything *before* tenant layer steps run.
     /// Kept as a plain field (not only a telemetry span) so the serve
     /// sweep can report it with the `telemetry` feature compiled out.
     scheduler_ns: u64,
@@ -573,24 +468,12 @@ pub struct SessionManager {
 /// Robustness counters mirrored into [`ServeReport`] — kept separate
 /// from the process-global telemetry so the report stays exact even when
 /// the `telemetry` feature is off.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 struct RobustStats {
     session_retries: u64,
     deadline_misses: u64,
     sessions_quarantined: u64,
     inflight_shed: u64,
-}
-
-impl RobustStats {
-    /// Folds one chunk-local accumulator from the parallel step fan-out
-    /// into the global counters. Addition commutes, so totals are
-    /// independent of how tenants were chunked across workers.
-    fn absorb(&mut self, other: RobustStats) {
-        self.session_retries += other.session_retries;
-        self.deadline_misses += other.deadline_misses;
-        self.sessions_quarantined += other.sessions_quarantined;
-        self.inflight_shed += other.inflight_shed;
-    }
 }
 
 impl SessionManager {
@@ -620,19 +503,10 @@ impl SessionManager {
             effective_inflight: max_inflight.max(1),
             pressure: 0,
             clean_rounds: 0,
-            step_workers: rayon::current_num_threads().max(1),
             events_from: telemetry::event_cursor(),
             lifetime_ledger: PadLedger::new(),
             scheduler_ns: 0,
         }
-    }
-
-    /// Caps the worker threads the scheduler fans tenant layer steps
-    /// across (clamped to ≥ 1; `1` = the legacy serial loop). Scheduled
-    /// outputs, campaign summaries, and the pad ledger are bit-identical
-    /// for any value — only wall time changes.
-    pub fn set_step_workers(&mut self, workers: usize) {
-        self.step_workers = workers.max(1);
     }
 
     /// Installs a fleet robustness policy (session retries, watchdog,
@@ -771,11 +645,10 @@ impl SessionManager {
         let mut faulty = false;
 
         // Scheduler-overhead accounting: everything from here to the
-        // step fan-out is bookkeeping the tenants never see — arrivals,
-        // budget sweeps, backoff wakes, admission, fusion planning. It
-        // grows with the session count, so the serve sweep reports it
-        // separately instead of silently folding it into service
-        // latency (the 8→64-session blocks/sec droop lives here).
+        // first tenant step is bookkeeping the tenants never see —
+        // arrivals, budget sweeps, backoff wakes, admission. It grows
+        // with the session count, so the serve sweep reports it
+        // separately instead of folding it into service latency.
         let sched_start = Instant::now();
         let sched_span = telemetry::stage_span("scheduler", round);
 
@@ -815,121 +688,21 @@ impl SessionManager {
             }
         }
 
-        // Service: one layer step per running session per round. The
-        // fusion plan precomputes cross-tenant batches (same weights,
-        // same layer), then the fan-out steps tenants concurrently —
-        // contiguous chunks, chunk-local stats folded back in chunk
-        // order, so every worker count produces identical state.
-        let mut preworks = self.plan_fusion();
         drop(sched_span);
         self.scheduler_ns = self
             .scheduler_ns
             .saturating_add(u64::try_from(sched_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        let workers = self.step_workers.min(self.tenants.len()).max(1);
-        if workers <= 1 {
-            for (t, pre) in self.tenants.iter_mut().zip(&mut preworks) {
-                Self::step_tenant(t, &policy, &mut self.stats, round, &mut faulty, pre.take());
-            }
-        } else {
-            let per = self.tenants.len().div_ceil(workers);
-            let folds: Vec<(RobustStats, bool)> = std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .tenants
-                    .chunks_mut(per)
-                    .zip(preworks.chunks_mut(per))
-                    .map(|(chunk, pres)| {
-                        s.spawn(move || {
-                            let mut local_stats = RobustStats::default();
-                            let mut local_faulty = false;
-                            for (t, pre) in chunk.iter_mut().zip(pres.iter_mut()) {
-                                Self::step_tenant(
-                                    t,
-                                    &policy,
-                                    &mut local_stats,
-                                    round,
-                                    &mut local_faulty,
-                                    pre.take(),
-                                );
-                            }
-                            (local_stats, local_faulty)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scheduler step worker panicked"))
-                    .collect()
-            });
-            for (local_stats, local_faulty) in folds {
-                self.stats.absorb(local_stats);
-                faulty |= local_faulty;
-            }
+
+        // Service: one layer step per running session per round, in
+        // fixed tenant order on the calling thread.
+        for t in &mut self.tenants {
+            Self::step_tenant(t, &policy, &mut self.stats, round, &mut faulty);
         }
 
         if let Some(shed) = policy.shedding {
             self.update_shedding(shed, faulty);
         }
         true
-    }
-
-    /// Plans cross-tenant batching for this round: running tenants that
-    /// share one `Arc`'d weight set *and* sit at the same layer form a
-    /// fused group whose pure prework (both convolutions + the first
-    /// seal) is computed in one multi-lane sweep. Per-tenant security
-    /// state — MAC registers, VN-FSM, journal, nonce space, pad
-    /// tracking — never fuses; it runs inside each tenant's own step.
-    /// Returns one optional prework slot per tenant position.
-    fn plan_fusion(&self) -> Vec<Option<FusedPrework>> {
-        let n = self.tenants.len();
-        let mut preworks: Vec<Option<FusedPrework>> = (0..n).map(|_| None).collect();
-        let mut grouped = vec![false; n];
-        for i in 0..n {
-            if grouped[i] {
-                continue;
-            }
-            let TenantState::Running(ci) = &self.tenants[i].state else {
-                continue;
-            };
-            let key = (
-                Arc::as_ptr(&self.tenants[i].layers).cast::<()>(),
-                ci.next_layer(),
-            );
-            let mut idxs = vec![i];
-            for (j, seen) in grouped.iter().enumerate().skip(i + 1) {
-                if *seen {
-                    continue;
-                }
-                let TenantState::Running(cj) = &self.tenants[j].state else {
-                    continue;
-                };
-                if (
-                    Arc::as_ptr(&self.tenants[j].layers).cast::<()>(),
-                    cj.next_layer(),
-                ) == key
-                {
-                    idxs.push(j);
-                }
-            }
-            if idxs.len() < 2 {
-                continue;
-            }
-            let lanes: Vec<(u64, &JournaledCursor)> = idxs
-                .iter()
-                .map(|&j| {
-                    let t = &self.tenants[j];
-                    let TenantState::Running(c) = &t.state else {
-                        unreachable!("fusion group members are running");
-                    };
-                    (u64::from(t.id), c.as_ref())
-                })
-                .collect();
-            let pre = prepare_fused_layer(&self.tenants[i].layers, &lanes);
-            for (&j, p) in idxs.iter().zip(pre) {
-                preworks[j] = Some(p);
-                grouped[j] = true;
-            }
-        }
-        preworks
     }
 
     /// Deadline budget and watchdog checks for one promoted tenant —
@@ -1185,7 +958,6 @@ impl SessionManager {
         stats: &mut RobustStats,
         round: u64,
         faulty: &mut bool,
-        prework: Option<FusedPrework>,
     ) {
         let mut cursor = match std::mem::replace(&mut t.state, TenantState::Queued) {
             TenantState::Running(c) => c,
@@ -1201,13 +973,12 @@ impl SessionManager {
                 injector: t.injector.as_mut(),
                 clock: t.clock.as_mut(),
             };
-            step_journaled_layer_prepared(
+            step_journaled_layer(
                 &t.layers,
                 &t.session,
                 &mut cursor,
                 &mut t.durable,
                 &mut instruments,
-                prework,
             )
         };
         t.rounds_serviced += 1;
@@ -1375,9 +1146,7 @@ impl SessionManager {
     /// with a *single* ring scan. Every span a tenant's work emits is
     /// stamped with the tenant id at emission time
     /// ([`telemetry::tenant_scope`]), so attribution is a tag filter
-    /// that survives arbitrary interleaving under the parallel
-    /// scheduler — the seq-window scheme it replaced silently
-    /// mis-attributed rows the moment two tenants' steps overlapped.
+    /// that survives arbitrary interleaving in the process-wide ring.
     /// Caveat: the ring keeps the most recent 4096 events, so runs that
     /// overflow it lose the oldest spans (attribution is best-effort
     /// observability, never an oracle).
@@ -1473,23 +1242,13 @@ impl SessionManager {
     /// incidents, per-session rows, and the cross-session pad ledger.
     fn report(&mut self) -> ServeReport {
         self.attribute_stage_spans();
-        // The one shard-aware ledger path every campaign shares: shards
-        // sized to the session count, absorbed with shard-parallel
-        // workers before the drain below consumes the tenants.
-        let mut ledger = PadLedger::sharded(self.tenants.len());
-        {
-            let items: Vec<(&SecureSession, &PadTracker)> = self
-                .tenants
-                .iter()
-                .map(|t| (&t.session, &t.tracker))
-                .collect();
-            ledger.absorb_all(&items);
-        }
+        let mut ledger = PadLedger::new();
         let mut incidents = IncidentLog::new();
         let mut max_blocks = 0u64;
         let mut outcomes = Vec::with_capacity(self.tenants.len());
         let mut session_rows = Vec::new();
         for t in self.tenants.drain(..) {
+            ledger.absorb(&t.session, &t.tracker);
             outcomes.push(Self::collapse(
                 t,
                 &mut incidents,
@@ -1651,8 +1410,8 @@ impl SessionManager {
     }
 
     /// Exact wall nanoseconds the scheduler spent on pre-step
-    /// bookkeeping (arrivals, sweeps, wakes, admission, fusion
-    /// planning) across every round so far.
+    /// bookkeeping (arrivals, sweeps, wakes, admission) across every
+    /// round so far. Tenant layer steps are never booked here.
     #[must_use]
     pub fn scheduler_ns(&self) -> u64 {
         self.scheduler_ns
@@ -1862,9 +1621,7 @@ pub fn serve_plan(seed: u64, sessions: u32, models: &[CampaignModel]) -> ServePl
 /// distinct derived key with the same counter does not (that is the
 /// whole point of per-tenant key derivation).
 fn ledger_selftest() -> bool {
-    // Same shard-aware constructor the campaign reports use — one code
-    // path, so the self-test can never drift from the real ledger.
-    let mut ledger = PadLedger::sharded(2);
+    let mut ledger = PadLedger::new();
     let root = DeviceSecret::from_seed(0xD1CE);
     let c = BlockCoords {
         fmap_id: 0,
@@ -2845,138 +2602,80 @@ mod tests {
         assert_eq!(report.sessions_quarantined, 0);
     }
 
-    // -- parallel scheduler + fusion + sharded ledger -----------------------
+    // -- shared weights + the pad ledger -------------------------------------
 
     #[test]
-    fn scheduled_outputs_are_bit_identical_for_any_worker_count() {
-        // The serial run (workers = 1, the legacy loop) is the oracle;
-        // every parallel fan-out must reproduce it bit-for-bit —
-        // including worker counts above the tenant count and ragged
-        // chunk splits (7 workers over 5 tenants).
-        let reference: Vec<QTensor3> = {
-            let mut mgr = clean_manager(95, 5, 3);
-            mgr.set_step_workers(1);
-            let report = mgr.run();
-            report
-                .outcomes
-                .iter()
-                .map(|o| o.output().expect("clean tenant completes").clone())
-                .collect()
-        };
-        for workers in [2usize, 4, 7] {
-            let mut mgr = clean_manager(95, 5, 3);
-            mgr.set_step_workers(workers);
-            let report = mgr.run();
-            assert_eq!(report.pad_collisions, 0, "workers={workers}");
-            for (t, o) in report.outcomes.iter().enumerate() {
-                assert_eq!(
-                    o.output().expect("clean tenant completes"),
-                    &reference[t],
-                    "workers={workers} tenant={t} diverged from the serial run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_same_model_tenants_match_their_solo_runs() {
+    fn shared_weight_co_tenants_match_their_solo_runs() {
         // Three tenants share one Arc'd weight set and arrive together,
-        // so every round fuses their layer steps; one of them carries a
-        // relentless adversary, which must fall out of the fused happy
-        // path through the ordinary ladder and abort — without
-        // disturbing its batch-mates' bit-identity.
+        // so every round steps all three at the same layer; one of them
+        // carries a relentless adversary, which must abort alone through
+        // the ordinary ladder — without disturbing its batch-mates'
+        // bit-identity.
         let models = campaign_models();
         let m = &models[0];
-        for workers in [1usize, 2, 4] {
-            let mut mgr = SessionManager::new(
-                DeviceSecret::from_seed(96),
-                96 ^ 0xA5A5,
-                m.session.shift,
-                RecoveryPolicy::default(),
-                8,
-            );
-            mgr.set_step_workers(workers);
-            let shared = Arc::new(m.layers.clone());
-            for t in 0..3u32 {
-                mgr.admit(AdmitSpec {
-                    tenant: t,
-                    name: m.name.to_string(),
-                    layers: Arc::clone(&shared),
-                    input: m.input.clone(),
-                    arrival_round: 0,
-                    injector: if t == 1 { relentless(13) } else { None },
-                    deadline_rounds: None,
-                    crash_cuts: Vec::new(),
-                    nonce_salt: 0,
-                    home_dir: None,
-                });
-            }
-            let sessions: Vec<SecureSession> = (0..3).map(|t| mgr.derived_session(t)).collect();
-            let report = mgr.run();
-            assert_eq!(report.pad_collisions, 0, "workers={workers}");
-            for t in [0usize, 2] {
-                let o = report
-                    .outcomes
-                    .iter()
-                    .find(|o| o.tenant == t as u32)
-                    .unwrap();
-                let mut durable = DurableState::default();
-                let mut tracker = PadTracker::new();
-                let mut instruments = Instruments {
-                    tracker: &mut tracker,
-                    injector: None,
-                    clock: None,
-                };
-                let solo = infer_journaled(
-                    &m.layers,
-                    &m.input,
-                    &sessions[t],
-                    &mut durable,
-                    &mut instruments,
-                )
-                .expect("solo run completes");
-                assert_eq!(
-                    o.output().expect("clean fused tenant completes"),
-                    &solo.output,
-                    "workers={workers} tenant={t} fused output diverged from solo"
-                );
-            }
-            let tampered = report.outcomes.iter().find(|o| o.tenant == 1).unwrap();
-            assert!(
-                matches!(&tampered.verdict, SessionVerdict::Aborted(e)
-                    if matches!(e.as_ref(), JournaledError::Aborted(_))),
-                "workers={workers}: tampered batch-mate must abort fail-closed, got {:?}",
-                tampered.verdict
+        let mut mgr = SessionManager::new(
+            DeviceSecret::from_seed(96),
+            96 ^ 0xA5A5,
+            m.session.shift,
+            RecoveryPolicy::default(),
+            8,
+        );
+        let shared = Arc::new(m.layers.clone());
+        for t in 0..3u32 {
+            mgr.admit(AdmitSpec {
+                tenant: t,
+                name: m.name.to_string(),
+                layers: Arc::clone(&shared),
+                input: m.input.clone(),
+                arrival_round: 0,
+                injector: if t == 1 { relentless(13) } else { None },
+                deadline_rounds: None,
+                crash_cuts: Vec::new(),
+                nonce_salt: 0,
+                home_dir: None,
+            });
+        }
+        let sessions: Vec<SecureSession> = (0..3).map(|t| mgr.derived_session(t)).collect();
+        let report = mgr.run();
+        assert_eq!(report.pad_collisions, 0);
+        for t in [0usize, 2] {
+            let o = report
+                .outcomes
+                .iter()
+                .find(|o| o.tenant == t as u32)
+                .unwrap();
+            let mut durable = DurableState::default();
+            let mut tracker = PadTracker::new();
+            let mut instruments = Instruments {
+                tracker: &mut tracker,
+                injector: None,
+                clock: None,
+            };
+            let solo = infer_journaled(
+                &m.layers,
+                &m.input,
+                &sessions[t],
+                &mut durable,
+                &mut instruments,
+            )
+            .expect("solo run completes");
+            assert_eq!(
+                o.output().expect("clean co-tenant completes"),
+                &solo.output,
+                "tenant={t} co-tenant output diverged from solo"
             );
         }
+        let tampered = report.outcomes.iter().find(|o| o.tenant == 1).unwrap();
+        assert!(
+            matches!(&tampered.verdict, SessionVerdict::Aborted(e)
+                if matches!(e.as_ref(), JournaledError::Aborted(_))),
+            "tampered batch-mate must abort fail-closed, got {:?}",
+            tampered.verdict
+        );
     }
 
     #[test]
-    fn campaign_summaries_are_byte_identical_across_worker_counts() {
-        let serve_cfg = ServeCampaignConfig {
-            seed: 7,
-            sessions: 4,
-        };
-        let chaos_cfg = ChaosCampaignConfig {
-            seed: 11,
-            sessions: 4,
-        };
-        // Campaign entry points size their workers from the global
-        // rayon count, which a test cannot vary — but the summaries
-        // contain only deterministic fields, and the per-tenant step
-        // sequences are worker-independent (previous test), so two runs
-        // under whatever count this process has must agree with each
-        // other and with the schedule the serial loop produces.
-        let a = run_serve_campaign(&serve_cfg).summary();
-        let b = run_serve_campaign(&serve_cfg).summary();
-        assert_eq!(a, b);
-        let c = run_chaos_campaign(&chaos_cfg).summary();
-        let d = run_chaos_campaign(&chaos_cfg).summary();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn sharded_ledger_matches_serial_absorption() {
+    fn ledger_counts_a_repeated_session_as_collisions() {
         let root = DeviceSecret::from_seed(0xABCD);
         let mk = |tenant: u32| SecureSession {
             secret: root.derive_tenant(tenant),
@@ -3000,37 +2699,23 @@ mod tests {
                 tr
             })
             .collect();
-        let mut items: Vec<(&SecureSession, &PadTracker)> =
-            sessions.iter().zip(trackers.iter()).collect();
-        // The same session listed twice: its 32 pads repeat, so every
-        // absorption order must report exactly 32 collisions.
-        items.push((&sessions[0], &trackers[0]));
-
-        let mut serial = PadLedger::sharded(1);
-        for &(s, tr) in &items {
-            serial.absorb(s, tr);
+        let mut ledger = PadLedger::new();
+        for (s, tr) in sessions.iter().zip(&trackers) {
+            ledger.absorb(s, tr);
         }
-        assert_eq!(serial.pads(), 4 * 32);
-        assert_eq!(serial.collisions(), 32);
-
-        for (shards, workers) in [(4, 2), (8, 3), (64, 7)] {
-            let mut sharded = PadLedger::sharded(shards);
-            assert_eq!(sharded.shard_count(), shards.next_power_of_two());
-            sharded.absorb_all_with(&items, workers);
-            assert_eq!(
-                (sharded.pads(), sharded.collisions()),
-                (serial.pads(), serial.collisions()),
-                "shards={shards} workers={workers}"
-            );
-        }
+        assert_eq!((ledger.pads(), ledger.collisions()), (4 * 32, 0));
+        // The same session absorbed twice: its 32 pads repeat under the
+        // same derived key, so each one is a collision.
+        ledger.absorb(&sessions[0], &trackers[0]);
+        assert_eq!((ledger.pads(), ledger.collisions()), (4 * 32, 32));
     }
 
     #[test]
     #[cfg(feature = "telemetry")]
     fn tenant_tags_attribute_interleaved_spans_where_seq_windows_cannot() {
         // Two concurrent "tenant steps" whose spans interleave in the
-        // global event ring — exactly what the parallel scheduler
-        // produces. The old seq-window scheme counts tenant B's span
+        // global event ring — what two managers stepping on different
+        // threads produce. The old seq-window scheme counts tenant B's span
         // inside tenant A's window (A's step closed after B emitted);
         // the tenant tag splits them correctly.
         use std::sync::mpsc;

@@ -327,10 +327,9 @@ impl Drop for TenantScope {
 }
 
 /// Tags every [`SpanEvent`] this thread emits until the guard drops with
-/// `tenant`. The tag is thread-local, so concurrent scheduler lanes each
-/// carry their own tenant — the replacement for the serial scheduler's
-/// event-seq-window attribution, which mis-attributes stage rows as soon
-/// as two lanes interleave in the ring.
+/// `tenant`. The tag is thread-local, so steps on different threads each
+/// carry their own tenant, and attribution stays exact however their
+/// spans interleave in the ring.
 #[must_use]
 pub fn tenant_scope(tenant: u64) -> TenantScope {
     #[cfg(not(feature = "telemetry"))]

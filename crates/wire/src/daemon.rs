@@ -54,8 +54,9 @@ pub struct DaemonConfig {
     /// [`wire_identity`], to the challenge stream, and (transitively)
     /// to every tenant's derived key.
     pub seed: u64,
-    /// Worker threads the scheduler fans layer steps across
-    /// (bit-identical output for any value).
+    /// Ignored: the scheduler steps every tenant in order on the
+    /// calling thread, and nothing reads this field. It stays only so
+    /// existing struct-literal constructions keep compiling.
     pub step_workers: usize,
     /// Admission cap handed to the scheduler.
     pub max_inflight: usize,
@@ -67,8 +68,7 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// RAM-only config with a serial scheduler — the loopback test
-    /// default.
+    /// RAM-only config — the loopback test default.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self {
@@ -171,14 +171,13 @@ impl Daemon {
         let shared: Vec<Arc<Vec<QConvLayer>>> =
             models.iter().map(|m| Arc::new(m.layers.clone())).collect();
         let shift = models[0].session.shift;
-        let mut mgr = SessionManager::new(
+        let mgr = SessionManager::new(
             root,
             base_nonce,
             shift,
             RecoveryPolicy::default(),
             cfg.max_inflight,
         );
-        mgr.set_step_workers(cfg.step_workers);
         Self {
             root,
             models,

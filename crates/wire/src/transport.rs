@@ -113,9 +113,10 @@ impl std::fmt::Debug for TcpConn {
 }
 
 /// Non-blocking TCP [`ServerTransport`]: one listener, one decoder per
-/// connection, polled by the daemon loop. No threads — the scheduler
-/// already owns the worker pool, so the wire stays a cooperative
-/// single-threaded poll exactly like the loopback.
+/// connection, polled by the daemon loop. No threads — the crypto
+/// datapath's per-block fan-out already owns the worker pool, so the
+/// wire stays a cooperative single-threaded poll exactly like the
+/// loopback.
 #[derive(Debug)]
 pub struct TcpServerTransport {
     listener: TcpListener,

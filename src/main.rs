@@ -60,7 +60,6 @@ fn usage() -> ! {
            stats    [--format json|prom]               telemetry snapshot of a fixed workload\n\n\
          global options:\n\
            --threads <N>   worker threads for the parallel crypto datapath\n\
-                           and the multi-tenant scheduler's session lanes\n\
                            (default: all cores; also honors RAYON_NUM_THREADS;\n\
                            an explicit flag always wins or the run fails)\n\
            --backend <b>   crypto backend: auto | portable | bitsliced | aesni\n\
@@ -394,10 +393,8 @@ fn run_tcp_daemon(
         }
     }
     let mut daemon = Daemon::new(&DaemonConfig {
-        seed,
-        step_workers: rayon::current_num_threads().max(1),
-        max_inflight: 8,
         home_root,
+        ..DaemonConfig::new(seed)
     });
     loop {
         let events = match transport.poll() {
@@ -706,7 +703,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let cfg = DaemonCampaignConfig {
                     seed,
                     sessions: num_opt(&args, "--sessions", 4) as u32,
-                    step_workers: rayon::current_num_threads().max(1),
                     home_root,
                     load_requests: num_opt(&args, "--requests", 0) as u32,
                 };

@@ -872,7 +872,7 @@ fn daemon_and_submit_usage_errors_exit_2() {
 }
 
 /// The loopback daemon campaign is deterministic per seed and invariant
-/// under `--threads` (scheduler workers) and `--backend` (crypto
+/// under `--threads` (crypto worker threads) and `--backend` (crypto
 /// backend) — the flags must propagate into the daemon, and neither may
 /// leak into the wire trace.
 #[test]
@@ -907,7 +907,7 @@ fn daemon_loopback_campaign_is_deterministic_and_flag_invariant() {
     assert_eq!(code, Some(0));
     assert_eq!(
         stdout, threaded_out,
-        "scheduler worker count leaked into the wire trace"
+        "crypto thread count leaked into the wire trace"
     );
 
     let mut backed = args.to_vec();

@@ -262,11 +262,10 @@ fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
 
 /// The seventh datapath: batched multi-tenant inference. Three tenants
 /// sharing one Arc'd weight set arrive in the same round, so every
-/// layer step fuses into one batched crypto lane group (compute shared,
-/// MAC registers / VN-FSM / journal / nonce space strictly per-tenant),
-/// and the scheduler steps them across two worker lanes. Every tenant's
-/// output must still be bit-identical to the plaintext reference on
-/// every zoo model.
+/// scheduler round steps all three at the same layer (weights shared,
+/// MAC registers / VN-FSM / journal / nonce space strictly per-tenant).
+/// Every tenant's output must still be bit-identical to the plaintext
+/// reference on every zoo model.
 #[test]
 fn batched_multi_tenant_sessions_match_the_plaintext_reference() {
     use seculator::core::{AdmitSpec, SessionManager, SessionVerdict};
@@ -281,7 +280,6 @@ fn batched_multi_tenant_sessions_match_the_plaintext_reference() {
             m.session.policy,
             3,
         );
-        mgr.set_step_workers(2);
         let shared = Arc::new(m.layers.clone());
         for tenant in 0..3u32 {
             mgr.admit(AdmitSpec {
@@ -556,7 +554,6 @@ fn daemon_campaign_matches_the_serve_campaign_for_the_same_seed() {
     let daemon = run_daemon_campaign(&DaemonCampaignConfig {
         seed,
         sessions: 5,
-        step_workers: 2,
         home_root: None,
         load_requests: 0,
     });
@@ -603,10 +600,9 @@ fn a_killed_daemon_resumes_its_durable_home_bit_identically() {
     let expected = infer_plain(&m.layers, &m.input, shift);
 
     let cfg = DaemonConfig {
-        seed,
-        step_workers: 1,
         max_inflight: 2,
         home_root: Some(home_root.clone()),
+        ..DaemonConfig::new(seed)
     };
 
     // Life 1: admit, advance to a mid-flight commit, then die.

@@ -376,7 +376,6 @@ fn daemon_wire_counters_are_conserved() {
     let report = run_daemon_campaign(&DaemonCampaignConfig {
         seed: 0x7E1E_CAFE,
         sessions: 4,
-        step_workers: 1,
         home_root: None,
         load_requests: 1,
     });
