@@ -16,7 +16,7 @@
 
 use crate::error::SecurityError;
 use seculator_arch::trace::{AccessOp, TileAccess};
-use seculator_sim::cache::{Cache, CacheStats};
+use seculator_sim::cache::{line_runs, Cache, CacheStats};
 use seculator_sim::config::NpuConfig;
 use seculator_sim::dram::{Dram, TrafficClass};
 use serde::{Deserialize, Serialize};
@@ -212,6 +212,31 @@ const COUNTER_LINE_COVERAGE: u64 = 64 * 64;
 /// bytes as modeled by the paper's §4.1.1 arithmetic (128 pixels = 512 B).
 const MAC_LINE_COVERAGE: u64 = 8 * 64;
 
+/// Looks up, in `cache`, the metadata line of each of `blocks` 64-byte
+/// blocks from `base_addr`, one [`Cache::access_run`] per line rather
+/// than one access per block; returns the (read, written) metadata
+/// bytes, `line_traffic` per miss and per dirty writeback.
+fn walk_line_runs(
+    cache: &mut Cache,
+    base_addr: u64,
+    blocks: u64,
+    coverage: u64,
+    write: bool,
+    line_traffic: u64,
+) -> (u64, u64) {
+    let (mut read, mut written) = (0, 0);
+    for (line, n) in line_runs(base_addr, blocks, coverage) {
+        let out = cache.access_run(line, write, n);
+        if !out.hit {
+            read += line_traffic;
+        }
+        if out.writeback {
+            written += line_traffic;
+        }
+    }
+    (read, written)
+}
+
 /// SGX-Client-like design: counter cache + Merkle tree + MAC cache.
 #[derive(Debug)]
 pub struct SecureTiming {
@@ -255,31 +280,27 @@ impl SchemeTiming for SecureTiming {
         dram: &mut Dram,
     ) -> TileSecurityCost {
         let is_write = access.op == AccessOp::Write;
-        let mut meta_read = 0u64;
-        let mut meta_write = 0u64;
-        for b in 0..blocks {
-            let addr = base_addr + b * 64;
-            // Counter lookup (and bump on write).
-            let c = self
-                .counter_cache
-                .access(addr / COUNTER_LINE_COVERAGE, is_write);
-            if !c.hit {
-                // Fetch the counter line and verify it up the tree.
-                meta_read += 64 * (1 + u64::from(self.merkle_levels));
-            }
-            if c.writeback {
-                // Write back the counter line and update the tree path.
-                meta_write += 64 * (1 + u64::from(self.merkle_levels));
-            }
-            // MAC lookup / update.
-            let m = self.mac_cache.access(addr / MAC_LINE_COVERAGE, is_write);
-            if !m.hit {
-                meta_read += 64;
-            }
-            if m.writeback {
-                meta_write += 64;
-            }
-        }
+        // The two caches share no state, so walking one and then the
+        // other equals interleaving them block by block. A counter-line
+        // miss fetches the line and verifies it up the tree; a dirty
+        // eviction writes it back and updates the tree path.
+        let (ctr_read, ctr_write) = walk_line_runs(
+            &mut self.counter_cache,
+            base_addr,
+            blocks,
+            COUNTER_LINE_COVERAGE,
+            is_write,
+            64 * (1 + u64::from(self.merkle_levels)),
+        );
+        let (mac_read, mac_write) = walk_line_runs(
+            &mut self.mac_cache,
+            base_addr,
+            blocks,
+            MAC_LINE_COVERAGE,
+            is_write,
+            64,
+        );
+        let (meta_read, meta_write) = (ctr_read + mac_read, ctr_write + mac_write);
         dram.record_read(meta_read, TrafficClass::Metadata);
         dram.record_write(meta_write, TrafficClass::Metadata);
         TileSecurityCost {
@@ -333,19 +354,14 @@ impl SchemeTiming for TnpuTiming {
         blocks: u64,
         dram: &mut Dram,
     ) -> TileSecurityCost {
-        let is_write = access.op == AccessOp::Write;
-        let mut meta_read = 0u64;
-        let mut meta_write = 0u64;
-        for b in 0..blocks {
-            let addr = base_addr + b * 64;
-            let m = self.mac_cache.access(addr / MAC_LINE_COVERAGE, is_write);
-            if !m.hit {
-                meta_read += 64;
-            }
-            if m.writeback {
-                meta_write += 64;
-            }
-        }
+        let (meta_read, meta_write) = walk_line_runs(
+            &mut self.mac_cache,
+            base_addr,
+            blocks,
+            MAC_LINE_COVERAGE,
+            access.op == AccessOp::Write,
+            64,
+        );
         dram.record_read(meta_read, TrafficClass::Metadata);
         dram.record_write(meta_write, TrafficClass::Metadata);
         // The Tensor Table tracks *output tile* updates; input and weight
@@ -713,6 +729,199 @@ mod tests {
         // per 8 blocks (8+8 lines).
         assert_eq!(read_meta, 32 * 64);
         assert_eq!(write_meta, 16 * 64);
+    }
+
+    impl SecureTiming {
+        /// The per-block reference: both caches looked up once per
+        /// 64-byte block, interleaved. `on_tile` must equal it.
+        fn on_tile_per_block(
+            &mut self,
+            access: &TileAccess,
+            base_addr: u64,
+            blocks: u64,
+            dram: &mut Dram,
+        ) -> TileSecurityCost {
+            let is_write = access.op == AccessOp::Write;
+            let mut meta_read = 0u64;
+            let mut meta_write = 0u64;
+            for b in 0..blocks {
+                let addr = base_addr + b * 64;
+                // Counter lookup (and bump on write).
+                let c = self
+                    .counter_cache
+                    .access(addr / COUNTER_LINE_COVERAGE, is_write);
+                if !c.hit {
+                    // Fetch the counter line and verify it up the tree.
+                    meta_read += 64 * (1 + u64::from(self.merkle_levels));
+                }
+                if c.writeback {
+                    // Write back the counter line and update the tree path.
+                    meta_write += 64 * (1 + u64::from(self.merkle_levels));
+                }
+                // MAC lookup / update.
+                let m = self.mac_cache.access(addr / MAC_LINE_COVERAGE, is_write);
+                if !m.hit {
+                    meta_read += 64;
+                }
+                if m.writeback {
+                    meta_write += 64;
+                }
+            }
+            dram.record_read(meta_read, TrafficClass::Metadata);
+            dram.record_write(meta_write, TrafficClass::Metadata);
+            TileSecurityCost {
+                memory_cycles: self.crypto_fill
+                    + dram.pipelined_meta_cycles(meta_read + meta_write),
+                exposed_cycles: 0,
+            }
+        }
+    }
+
+    impl TnpuTiming {
+        /// The per-block reference: the MAC cache looked up once per
+        /// 64-byte block. `on_tile` must equal it.
+        fn on_tile_per_block(
+            &mut self,
+            access: &TileAccess,
+            base_addr: u64,
+            blocks: u64,
+            dram: &mut Dram,
+        ) -> TileSecurityCost {
+            let is_write = access.op == AccessOp::Write;
+            let mut meta_read = 0u64;
+            let mut meta_write = 0u64;
+            for b in 0..blocks {
+                let addr = base_addr + b * 64;
+                let m = self.mac_cache.access(addr / MAC_LINE_COVERAGE, is_write);
+                if !m.hit {
+                    meta_read += 64;
+                }
+                if m.writeback {
+                    meta_write += 64;
+                }
+            }
+            dram.record_read(meta_read, TrafficClass::Metadata);
+            dram.record_write(meta_write, TrafficClass::Metadata);
+            let exposed_cycles = if access.tensor == TensorClass::Ofmap {
+                self.tensor_table_cycles
+            } else {
+                0
+            };
+            TileSecurityCost {
+                memory_cycles: self.crypto_fill
+                    + dram.pipelined_meta_cycles(meta_read + meta_write),
+                exposed_cycles,
+            }
+        }
+    }
+
+    /// A line-run engine (index 0) and its per-block reference (index 1)
+    /// per design, each with its own DRAM, fed the same tiles.
+    struct Differential {
+        secure: [(SecureTiming, Dram); 2],
+        tnpu: [(TnpuTiming, Dram); 2],
+    }
+
+    impl Differential {
+        fn new(cfg: &NpuConfig) -> Self {
+            let dram = || Dram::new(cfg.dram);
+            Self {
+                secure: [
+                    (SecureTiming::new(cfg), dram()),
+                    (SecureTiming::new(cfg), dram()),
+                ],
+                tnpu: [
+                    (TnpuTiming::new(cfg), dram()),
+                    (TnpuTiming::new(cfg), dram()),
+                ],
+            }
+        }
+
+        /// Runs one tile through all four engines; the cost, DRAM and
+        /// cache statistics must be identical after it.
+        fn tile(&mut self, a: &TileAccess, base: u64, blocks: u64) {
+            let [(s, sd), (sr, srd)] = &mut self.secure;
+            let at = format!("secure: {blocks} blocks at {base:#x}");
+            assert_eq!(
+                s.on_tile(a, base, blocks, sd),
+                sr.on_tile_per_block(a, base, blocks, srd),
+                "{at}"
+            );
+            assert_eq!(sd.stats(), srd.stats(), "{at}");
+            assert_eq!(s.counter_cache.stats(), sr.counter_cache.stats(), "{at}");
+            assert_eq!(s.mac_cache.stats(), sr.mac_cache.stats(), "{at}");
+            let [(t, td), (tr, trd)] = &mut self.tnpu;
+            let at = format!("tnpu: {blocks} blocks at {base:#x}");
+            assert_eq!(
+                t.on_tile(a, base, blocks, td),
+                tr.on_tile_per_block(a, base, blocks, trd),
+                "{at}"
+            );
+            assert_eq!(td.stats(), trd.stats(), "{at}");
+            assert_eq!(t.mac_cache.stats(), tr.mac_cache.stats(), "{at}");
+        }
+    }
+
+    #[test]
+    fn line_runs_equal_per_block_on_resnet18() {
+        let npu = crate::TimingNpu::default();
+        let cfg = npu.config();
+        let schedules = npu
+            .map(&seculator_models::zoo::resnet18())
+            .expect("ResNet-18 maps onto the global buffer");
+        let mut diff = Differential::new(cfg);
+        let mut tiles = 0u64;
+        for (s, r) in schedules.iter().zip(crate::npu::lay_out(&schedules)) {
+            s.for_each_step(|step| {
+                for a in &step.accesses {
+                    let blocks = cfg.blocks(a.bytes);
+                    diff.tile(a, r.tile_base(a, blocks), blocks);
+                    tiles += 1;
+                }
+            });
+        }
+        assert!(tiles > 10_000, "{tiles} tiles");
+    }
+
+    #[test]
+    fn line_runs_equal_per_block_on_random_tiles() {
+        let tiny_caches = NpuConfig {
+            mac_cache_bytes: 256,
+            counter_cache_bytes: 256,
+            ..NpuConfig::paper()
+        };
+        for (cfg, seed) in [(NpuConfig::tiny(), 1), (tiny_caches, 2)] {
+            let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+            let mut diff = Differential::new(&cfg);
+            for _ in 0..2000 {
+                let blocks = match rng.gen_below(3) {
+                    0 => rng.gen_below(2),
+                    1 => rng.gen_below(16),
+                    // Spanning up to 17 counter lines and 129 MAC lines.
+                    _ => rng.gen_below(1024),
+                };
+                // On a counter-line boundary, on a block boundary, or at
+                // any byte, within 256 KB so lines are revisited and
+                // evicted.
+                let base = match rng.gen_below(3) {
+                    0 => rng.gen_below(64) * COUNTER_LINE_COVERAGE,
+                    1 => rng.gen_below(4096) * 64,
+                    _ => rng.gen_below(1 << 18),
+                };
+                let a = TileAccess {
+                    tensor: [TensorClass::Ifmap, TensorClass::Weight, TensorClass::Ofmap]
+                        [rng.gen_below(3) as usize],
+                    op: [AccessOp::Read, AccessOp::Write][rng.gen_below(2) as usize],
+                    ..access(AccessOp::Read)
+                };
+                diff.tile(&a, base, blocks);
+            }
+            for (engine, _) in &diff.secure {
+                for c in [engine.counter_cache.stats(), engine.mac_cache.stats()] {
+                    assert!(c.hits > 0 && c.misses > 0 && c.writebacks > 0, "{c:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::engine::{make_engine, SchemeKind};
 use seculator_arch::mapper::{map_network, MapperConfig, MapperError};
-use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass};
+use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass, TileAccess};
 use seculator_models::Network;
 use seculator_sim::address::{AddressAllocator, TensorRegion};
 use seculator_sim::config::NpuConfig;
@@ -32,15 +32,59 @@ pub struct TimingNpu {
     cfg: NpuConfig,
 }
 
+/// The DRAM regions of one layer's three tensors.
 #[derive(Debug, Clone, Copy)]
-struct Regions {
+pub(crate) struct Regions {
     ifmap: TensorRegion,
     weights: Option<TensorRegion>,
     ofmap: TensorRegion,
 }
 
+impl Regions {
+    /// Address of the first of the `blocks` 64-byte blocks of tile
+    /// `a.tile` of `a.tensor`.
+    pub(crate) fn tile_base(&self, a: &TileAccess, blocks: u64) -> u64 {
+        let region = match a.tensor {
+            TensorClass::Ifmap => self.ifmap,
+            TensorClass::Weight => self.weights.expect("weight access without weight region"),
+            TensorClass::Ofmap => self.ofmap,
+        };
+        region.base + a.tile * blocks * 64
+    }
+}
+
 fn aligned_region_bytes(tiles: u64, tile_bytes: u64) -> u64 {
     tiles * tile_bytes.div_ceil(64) * 64
+}
+
+/// Lays out every layer's tensors in DRAM: layer i+1's ifmap is layer
+/// i's ofmap.
+pub(crate) fn lay_out(schedules: &[LayerSchedule]) -> Vec<Regions> {
+    let mut alloc = AddressAllocator::new();
+    let mut regions = Vec::with_capacity(schedules.len());
+    let input = alloc.alloc(
+        schedules
+            .first()
+            .map(|s| aligned_region_bytes(s.ifmap_tiles(), s.ifmap_tile_bytes()))
+            .unwrap_or(0),
+    );
+    let mut prev_ofmap = input;
+    for s in schedules {
+        let weights = (s.weight_tile_bytes() > 0).then(|| {
+            alloc.alloc(aligned_region_bytes(
+                u64::from(s.spec().alphas.alpha_c) * u64::from(s.spec().alphas.alpha_k),
+                s.weight_tile_bytes(),
+            ))
+        });
+        let ofmap = alloc.alloc(aligned_region_bytes(s.ofmap_tiles(), s.ofmap_tile_bytes()));
+        regions.push(Regions {
+            ifmap: prev_ofmap,
+            weights,
+            ofmap,
+        });
+        prev_ofmap = ofmap;
+    }
+    regions
 }
 
 impl TimingNpu {
@@ -93,32 +137,7 @@ impl TimingNpu {
         let systolic = SystolicArray::new(&self.cfg);
         let mut engine = make_engine(scheme, &self.cfg);
         let mut dram = Dram::new(self.cfg.dram);
-        let mut alloc = AddressAllocator::new();
-
-        // Lay out tensors: layer i+1's ifmap is layer i's ofmap.
-        let mut regions = Vec::with_capacity(schedules.len());
-        let input = alloc.alloc(
-            schedules
-                .first()
-                .map(|s| aligned_region_bytes(s.ifmap_tiles(), s.ifmap_tile_bytes()))
-                .unwrap_or(0),
-        );
-        let mut prev_ofmap = input;
-        for s in schedules {
-            let weights = (s.weight_tile_bytes() > 0).then(|| {
-                alloc.alloc(aligned_region_bytes(
-                    u64::from(s.spec().alphas.alpha_c) * u64::from(s.spec().alphas.alpha_k),
-                    s.weight_tile_bytes(),
-                ))
-            });
-            let ofmap = alloc.alloc(aligned_region_bytes(s.ofmap_tiles(), s.ofmap_tile_bytes()));
-            regions.push(Regions {
-                ifmap: prev_ofmap,
-                weights,
-                ofmap,
-            });
-            prev_ofmap = ofmap;
-        }
+        let regions = lay_out(schedules);
 
         let mut layers = Vec::with_capacity(schedules.len());
         for (s, r) in schedules.iter().zip(&regions) {
@@ -133,21 +152,12 @@ impl TimingNpu {
                     exposed_security: 0,
                 };
                 for a in &step.accesses {
-                    let (region, tile_bytes) = match a.tensor {
-                        TensorClass::Ifmap => (r.ifmap, s.ifmap_tile_bytes()),
-                        TensorClass::Weight => (
-                            r.weights.expect("weight access without weight region"),
-                            s.weight_tile_bytes(),
-                        ),
-                        TensorClass::Ofmap => (r.ofmap, s.ofmap_tile_bytes()),
-                    };
                     let blocks = self.cfg.blocks(a.bytes);
-                    let base_addr = region.base + a.tile * blocks * 64;
+                    let base_addr = r.tile_base(a, blocks);
                     cost.memory += match a.op {
                         AccessOp::Read => dram.read(a.bytes, TrafficClass::Data),
                         AccessOp::Write => dram.write(a.bytes, TrafficClass::Data),
                     };
-                    let _ = tile_bytes;
                     let sec = engine.on_tile(a, base_addr, blocks, &mut dram);
                     cost.memory += sec.memory_cycles;
                     cost.exposed_security += sec.exposed_cycles;

@@ -4,6 +4,7 @@
 //! The model tracks tags and dirty bits only — contents are irrelevant to
 //! timing — and reports hit/miss/writeback statistics.
 
+use seculator_arch::layer::BLOCK_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one cache.
@@ -105,7 +106,7 @@ impl Cache {
 
     /// Accesses `line_addr` (already divided by the line size), marking
     /// the line dirty if `write`. Returns hit/writeback information.
-    // Inlined into the timing engines' per-block loops: as an
+    // Inlined into the timing engines' line-run loops: as an
     // out-of-line call, its speed swung by about 17 % with the address
     // the linker happened to give it.
     #[inline]
@@ -150,6 +151,26 @@ impl Cache {
         }
     }
 
+    /// Accesses `line_addr` `n` times in a row: [`Cache::access`] once,
+    /// then `n − 1` counted hits. Returns the first access's outcome; the
+    /// others always hit without a writeback.
+    ///
+    /// Exactly equal to `n` calls of `access`: the trailing accesses hit
+    /// the line the first one just made most recently used in its set
+    /// and change no line's recency order, so no later hit, miss,
+    /// writeback or victim choice can differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0.
+    #[inline]
+    pub fn access_run(&mut self, line_addr: u64, write: bool, n: u64) -> AccessOutcome {
+        assert!(n > 0, "a run is at least one access");
+        let first = self.access(line_addr, write);
+        self.stats.hits += n - 1;
+        first
+    }
+
     /// Current statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -176,6 +197,37 @@ impl Cache {
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
+}
+
+/// The metadata lines touched by `blocks` consecutive 64-byte blocks
+/// starting at `base_addr`, where one line covers `coverage` data bytes:
+/// yields `(line, blocks_in_that_line)` in address order, one item per
+/// maximal run of blocks whose `addr / coverage` is the same.
+///
+/// # Examples
+///
+/// ```
+/// use seculator_sim::cache::line_runs;
+///
+/// // Blocks at 448, 512, …, 1088 under 512-byte lines.
+/// let runs: Vec<_> = line_runs(448, 11, 512).collect();
+/// assert_eq!(runs, [(0, 1), (1, 8), (2, 2)]);
+/// ```
+pub fn line_runs(base_addr: u64, blocks: u64, coverage: u64) -> impl Iterator<Item = (u64, u64)> {
+    let (mut addr, mut left) = (base_addr, blocks);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let line = addr / coverage;
+        // Blocks b ≥ 0 with addr + 64·b below the next line's start.
+        let n = ((line + 1) * coverage - addr)
+            .div_ceil(BLOCK_BYTES)
+            .min(left);
+        addr += n * BLOCK_BYTES;
+        left -= n;
+        Some((line, n))
+    })
 }
 
 #[cfg(test)]

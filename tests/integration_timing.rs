@@ -1,11 +1,13 @@
 //! Cross-crate timing integration: the paper's qualitative results must
-//! hold on every benchmark, mappings must respect the global buffer, and
-//! the simulator must be deterministic.
+//! hold on every benchmark, mappings must respect the global buffer, the
+//! simulator must be deterministic, and every statistic it reports for
+//! the paper networks must equal the benchmark's expected file.
 
 use seculator::core::widening::widen_network;
 use seculator::core::{SchemeKind, TimingNpu};
 use seculator::models::zoo;
 use seculator::sim::config::NpuConfig;
+use seculator::sim::stats::{LayerStats, RunStats};
 
 #[test]
 fn paper_benchmarks_all_map_onto_the_global_buffer() {
@@ -26,9 +28,61 @@ fn paper_benchmarks_all_map_onto_the_global_buffer() {
     }
 }
 
+/// The benchmark's expected statistics for every network x design pair
+/// (`perfbench/src/zoo.rs` writes and checks them; read-only here).
+const EXPECTED_SIM_ZOO: &str = include_str!("../perfbench/expected/sim-zoo.tsv");
+
+/// Every `RunStats` field of one run in the expected file's format: one
+/// line per layer, a total, and the two metadata caches.
+fn render(network: &str, s: &RunStats) -> Vec<String> {
+    let row = |kind: &str, rest: String| format!("{network}\t{}\t{kind}\t{rest}", s.scheme);
+    let fields = |l: &LayerStats| {
+        let d = &l.dram;
+        format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            l.cycles,
+            l.compute_cycles,
+            l.memory_cycles,
+            l.security_cycles,
+            d.data_read_bytes,
+            d.data_write_bytes,
+            d.meta_read_bytes,
+            d.meta_write_bytes,
+            d.bursts
+        )
+    };
+    let mut total = LayerStats {
+        dram: s.dram_totals(),
+        ..LayerStats::default()
+    };
+    let mut out = Vec::new();
+    for l in &s.layers {
+        total.cycles += l.cycles;
+        total.compute_cycles += l.compute_cycles;
+        total.memory_cycles += l.memory_cycles;
+        total.security_cycles += l.security_cycles;
+        out.push(row("layer", format!("{}\t{}", l.layer_id, fields(l))));
+    }
+    out.push(row("total", format!("-\t{}", fields(&total))));
+    for (name, cache) in [
+        ("counter_cache", s.counter_cache),
+        ("mac_cache", s.mac_cache),
+    ] {
+        let rest = cache.map_or_else(
+            || "none".to_string(),
+            |c| format!("{}\t{}\t{}", c.hits, c.misses, c.writebacks),
+        );
+        out.push(row(name, rest));
+    }
+    out
+}
+
 #[test]
 fn figure7_ordering_holds_on_every_benchmark() {
     let npu = TimingNpu::new(NpuConfig::paper());
+    let mut expected = EXPECTED_SIM_ZOO
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
     for net in zoo::paper_benchmarks() {
         let runs = npu
             .compare_schemes(
@@ -42,6 +96,19 @@ fn figure7_ordering_holds_on_every_benchmark() {
                 ],
             )
             .expect("maps");
+        // The simulator exactly: every statistic of every pair equals the
+        // benchmark's expected file, pairs in the file's order.
+        for run in &runs {
+            for line in render(&net.name, run) {
+                assert_eq!(
+                    expected.next(),
+                    Some(line.as_str()),
+                    "{} under {}: RunStats differ from perfbench/expected/sim-zoo.tsv",
+                    net.name,
+                    run.scheme
+                );
+            }
+        }
         let cycles: std::collections::HashMap<&str, u64> = runs
             .iter()
             .map(|r| (r.scheme.as_str(), r.total_cycles()))
@@ -66,6 +133,7 @@ fn figure7_ordering_holds_on_every_benchmark() {
             net.name
         );
     }
+    assert_eq!(expected.next(), None, "pairs missing from the run");
 }
 
 #[test]
