@@ -43,7 +43,6 @@ pub mod dataflow;
 pub mod layer;
 pub mod mapper;
 pub mod pattern;
-pub mod recipe;
 pub mod tiling;
 pub mod trace;
 
@@ -52,6 +51,5 @@ pub use dataflow::{ConvDataflow, Dataflow, MatmulDataflow, PreprocDataflow, Sche
 pub use layer::{ConvShape, LayerDesc, LayerDims, LayerKind, MatmulShape, PreprocStyle};
 pub use mapper::{map_layer, map_network, MapperConfig};
 pub use pattern::{PatternFamily, PatternSpec};
-pub use recipe::{MappingRecipe, ScheduleRecipe};
 pub use tiling::{Alphas, TileConfig};
 pub use trace::{AccessOp, LayerSchedule, Step, TensorClass, TileAccess, TrafficSummary};

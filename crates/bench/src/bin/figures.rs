@@ -8,8 +8,13 @@
 //! Experiment ids: table1, table2, table3, table4, table5, table6,
 //! table7, table8, table9, table10, fig4, fig5, fig7, fig8, fig9,
 //! energy, mea, noise, batch, reuse, roofline, audit, detection-latency,
-//! ablate-maccache, ablate-blocksize, ablate-bandwidth, json, throughput,
-//! serve, daemon.
+//! ablate-maccache, ablate-blocksize, ablate-bandwidth, json, vngen,
+//! throughput, serve, daemon.
+//!
+//! `vngen` times the VN generator FSM against the closed-form VN formula
+//! and a TNPU-style per-tile version table on one 65,536-VN pattern, and
+//! writes the VNs/s of each to `BENCH_vngen.json`
+//! (`seculator-bench-vngen-v1`).
 //!
 //! `throughput` accepts `--quick` (smaller tiles / fewer repetitions, the
 //! mode CI uses), `--check` (exit 1 unless the parallel datapath beats
@@ -114,6 +119,7 @@ fn main() {
     exp!("ablate-blocksize", ablate_blocksize());
     exp!("ablate-bandwidth", ablate_bandwidth());
     exp!("json", export_json());
+    exp!("vngen", vngen_exp());
     // Under `all` the throughput experiment always runs in quick mode so
     // regenerating every figure stays fast; ask for it by id to get the
     // full-size tiles.
@@ -882,6 +888,84 @@ fn write_or_die(path: &str, contents: &str) {
         eprintln!("cannot write `{path}`: {e}");
         std::process::exit(2);
     }
+}
+
+/// VN generation rate: the `PatternCounter` FSM Seculator puts in
+/// hardware, the closed-form `PatternSpec::vn_at`, and the per-tile
+/// version table TNPU keeps (one lookup-and-bump per write). The paper
+/// argues the formula beats any lookup; this puts a number on the
+/// software models.
+fn vngen_exp() {
+    use seculator_arch::pattern::PatternSpec;
+    use seculator_arch::trace::ReferenceVnTable;
+    use seculator_core::vngen::PatternCounter;
+    use std::hint::black_box;
+
+    // A realistic triplet: αK=8 groups, αC=64 channel tiles, αHW=128.
+    let (eta, kappa, rho) = (8, 64, 128);
+    let spec = PatternSpec::new(eta, kappa, rho);
+    let vns = spec.len();
+    let reps = 100;
+    let fsm = || {
+        let mut counter = PatternCounter::new(spec);
+        std::iter::from_fn(move || counter.next_vn())
+    };
+    let closed_form = || (0..vns).map(move |n| spec.vn_at(n));
+    let table = || {
+        let mut table = ReferenceVnTable::new();
+        // The same schedule shape as table traffic: the η tiles of a
+        // group are rewritten once per pass, innermost.
+        (0..vns).map(move |n| table.record_write(n % eta))
+    };
+    assert_eq!(vns, 1 << 16);
+    assert!(
+        fsm().eq(closed_form()),
+        "the FSM and the closed form disagree"
+    );
+    let counts = [fsm().count(), closed_form().count(), table().count()];
+    assert!(counts.iter().all(|&c| c as u64 == vns), "{counts:?}");
+
+    println!("VN generation over one pattern (η={eta}, κ={kappa}, ρ={rho}): {vns} VNs a pass,");
+    println!("best of 3 windows of {reps} passes. The FSM and the closed form agree");
+    println!("VN by VN by assertion before any timer starts.\n");
+    println!("{:<22} {:>12}", "kernel", "M VNs/s");
+    let rows = [
+        (
+            "pattern_counter_fsm",
+            rate_of(reps, vns as usize, || {
+                black_box(fsm().map(u64::from).sum::<u64>());
+            }),
+        ),
+        (
+            "closed_form_vn_at",
+            rate_of(reps, vns as usize, || {
+                black_box(closed_form().map(u64::from).sum::<u64>());
+            }),
+        ),
+        (
+            "reference_vn_table",
+            rate_of(reps, vns as usize, || {
+                black_box(table().map(u64::from).sum::<u64>());
+            }),
+        ),
+    ];
+    for (kernel, rate) in rows {
+        println!("{kernel:<22} {:>12.1}", rate / 1e6);
+    }
+    println!("FSM / table: {:.1}x", rows[0].1 / rows[2].1);
+
+    let entries: Vec<String> = rows
+        .iter()
+        .map(|(kernel, rate)| format!("    {{\"kernel\":\"{kernel}\",\"vns_per_sec\":{rate:.1}}}"))
+        .collect();
+    let json = format!(
+        "{{\n  \"schema\": \"seculator-bench-vngen-v1\",\n  \"eta\": {eta},\n  \
+\"kappa\": {kappa},\n  \"rho\": {rho},\n  \"vns_per_pass\": {vns},\n  \
+\"reps\": {reps},\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    );
+    write_or_die("BENCH_vngen.json", &json);
+    println!("\nwrote BENCH_vngen.json");
 }
 
 fn throughput(quick: bool, check: bool, metrics: Option<&str>) {

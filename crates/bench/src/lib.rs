@@ -2,8 +2,7 @@
 //!
 //! Shared harness code for regenerating every table and figure of the
 //! paper's evaluation. The `figures` binary dispatches on an experiment
-//! id (`fig4`, `table2`, …, or `all`); Criterion micro-benches live in
-//! `benches/`.
+//! id (`fig4`, `table2`, …, or `all`).
 
 #![warn(missing_docs)]
 

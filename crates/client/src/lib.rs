@@ -5,7 +5,7 @@
 //! [`Wire`] transport — the real TCP pipe for `seculator submit`, or
 //! the deterministic loopback for the conformance suite.
 //!
-//! The crate also hosts [`run_daemon_campaign`]: the *eighth datapath*
+//! The crate also hosts [`run_daemon_campaign`]: the *seventh datapath*
 //! oracle. It stands a daemon up behind the loopback, drives the exact
 //! tenant plan the serve campaign derives from the same seed
 //! ([`seculator_core::serve_plan`]), and checks that every clean
@@ -220,7 +220,7 @@ fn protocol(msg: &Message) -> ClientError {
 }
 
 // ---------------------------------------------------------------------------
-// The daemon conformance campaign (the eighth datapath)
+// The daemon conformance campaign (the seventh datapath)
 // ---------------------------------------------------------------------------
 
 /// Configuration of one daemon campaign.

@@ -226,8 +226,8 @@ pub fn audit_network(schedules: &[LayerSchedule]) -> AuditReport {
 // Runtime incident records (detect-and-recover audit trail)
 // ---------------------------------------------------------------------------
 
-/// A recovery action taken by the resilient inference driver
-/// ([`crate::secure_infer::infer_resilient`]) in response to a detected
+/// A recovery action taken by the journaled inference driver
+/// ([`crate::secure_infer::infer_journaled`]) in response to a detected
 /// integrity breach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryAction {
@@ -283,7 +283,7 @@ pub struct IncidentRecord {
     pub cause: crate::error::SecurityError,
 }
 
-/// The full audit trail of one resilient inference: every detected
+/// The full audit trail of one journaled inference: every detected
 /// breach and every recovery action, in order. Returned on success (so
 /// callers can see recovered incidents) and attached to the abort report
 /// on failure.

@@ -12,8 +12,8 @@
 //! costs more.
 //!
 //! This module quantifies that window from a run's per-layer cycle
-//! statistics, plus the expected re-execution cost of the
-//! detect-and-reboot recovery strategy.
+//! statistics, plus the cycle cost of the local recovery ladder that
+//! replaces the reboot.
 
 use crate::engine::SchemeKind;
 use seculator_sim::stats::RunStats;
@@ -101,61 +101,12 @@ pub fn detection_latency(scheme: SchemeKind, run: &RunStats) -> DetectionLatency
     }
 }
 
-/// Recovery-cost model for the detect-and-reboot strategy: on a breach
-/// the NPU reboots (fixed penalty) and re-executes from the start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryModel {
-    /// Fixed reboot penalty in cycles (re-attestation, key refresh).
-    pub reboot_cycles: u64,
-}
-
-impl Default for RecoveryModel {
-    fn default() -> Self {
-        // ~100 µs at 2.75 GHz.
-        Self {
-            reboot_cycles: 275_000,
-        }
-    }
-}
-
-impl RecoveryModel {
-    /// Expected total cycles to complete one inference when each
-    /// execution attempt is independently attacked with probability
-    /// `attack_probability` (attack ⇒ detection ⇒ reboot ⇒ retry; the
-    /// attacker gives up after the first failed attempt... repeated
-    /// attacks form the geometric series below).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attack_probability` is not in `[0, 1)`.
-    #[must_use]
-    pub fn expected_completion_cycles(
-        &self,
-        run_cycles: u64,
-        detection: DetectionLatency,
-        attack_probability: f64,
-    ) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&attack_probability),
-            "attack probability must be in [0, 1)"
-        );
-        // Each failed attempt costs: cycles until the tamper (~half the
-        // run on average) + the detection window + the reboot.
-        let failed_attempt = run_cycles as f64 / 2.0
-            + detection.expected_cycles.min(run_cycles as f64)
-            + self.reboot_cycles as f64;
-        let p = attack_probability;
-        // E[attempts before success] = p / (1 - p).
-        run_cycles as f64 + p / (1.0 - p) * failed_attempt
-    }
-}
-
 /// Cycle-cost model of the *local* recovery actions taken by the
-/// detect-and-recover driver ([`crate::secure_infer::infer_resilient`]),
-/// as opposed to the paper's full system reboot
-/// ([`RecoveryModel::reboot_cycles`]). A re-fetch streams the producer's
-/// output tensor through the crypto pipeline once more; a re-execution
-/// additionally recomputes the layer and rewrites both tensor versions.
+/// detect-and-recover driver ([`crate::secure_infer::infer_journaled`]),
+/// as opposed to the paper's full system reboot (§6.1). A re-fetch
+/// streams the producer's output tensor through the crypto pipeline once
+/// more; a re-execution additionally recomputes the layer and rewrites
+/// both tensor versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryCost {
     /// Cycles per 64-byte block to re-fetch + decrypt + re-MAC.
@@ -207,6 +158,10 @@ mod tests {
     use seculator_models::zoo::tiny_cnn;
     use seculator_sim::config::NpuConfig;
 
+    /// The paper's full system reboot on a breach (§6.1): re-attestation
+    /// and key refresh, ~100 µs at 2.75 GHz.
+    const REBOOT_CYCLES: u64 = 275_000;
+
     fn seculator_run() -> RunStats {
         TimingNpu::new(NpuConfig::paper())
             .run(&tiny_cnn(), SchemeKind::Seculator)
@@ -245,24 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_cost_grows_with_attack_probability() {
-        let run = seculator_run();
-        let d = detection_latency(SchemeKind::Seculator, &run);
-        let m = RecoveryModel::default();
-        let quiet = m.expected_completion_cycles(run.total_cycles(), d, 0.0);
-        let hostile = m.expected_completion_cycles(run.total_cycles(), d, 0.5);
-        assert!((quiet - run.total_cycles() as f64).abs() < 1e-6);
-        assert!(hostile > quiet);
-    }
-
-    #[test]
     fn local_recovery_is_cheaper_than_reboot() {
         let cost = RecoveryCost::default();
         // One refetch of a 64-block tensor, one re-execution of same.
         let local = cost.cycles(1, 1, 64);
         assert!(local > 0);
         assert!(
-            local < RecoveryModel::default().reboot_cycles,
+            local < REBOOT_CYCLES,
             "local recovery ({local}) must undercut a full reboot"
         );
         assert_eq!(cost.cycles(0, 0, 64), 0, "no actions, no cost");
@@ -270,13 +214,5 @@ mod tests {
             cost.cycles(0, 1, 64) > cost.cycles(1, 0, 64),
             "re-execution costs more"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "attack probability")]
-    fn certain_attack_is_rejected() {
-        let run = seculator_run();
-        let d = detection_latency(SchemeKind::Seculator, &run);
-        let _ = RecoveryModel::default().expected_completion_cycles(1000, d, 1.0);
     }
 }

@@ -5,7 +5,7 @@
 //! [`UntrustedDram`]'s adversary API from hand-written tests. This module
 //! turns the adversary into a first-class, *seeded* component that
 //! interposes between the crypto datapath and DRAM, so the
-//! detect-and-recover driver ([`crate::secure_infer::infer_resilient`])
+//! detect-and-recover driver ([`crate::secure_infer::infer_journaled`])
 //! can be attacked systematically.
 //!
 //! # Fault taxonomy
@@ -40,9 +40,14 @@
 //! statistics via [`crate::detection::RecoveryCost`]. The CLI exposes it
 //! as `seculator fault-campaign --seed N --faults K`.
 
+use crate::audit::IncidentLog;
 use crate::detection::RecoveryCost;
+use crate::journal::{DurableState, PadTracker};
 use crate::mac_verify::EagerLayerVerifier;
-use crate::secure_infer::{infer_plain, infer_resilient, QConvLayer, RecoveryPolicy};
+use crate::secure_infer::{
+    infer_journaled, infer_plain, Instruments, JournaledError, QConvLayer, RecoveryPolicy,
+    SecureSession,
+};
 use crate::secure_memory::{Block, UntrustedDram};
 use seculator_compute::quant::{QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
@@ -793,95 +798,69 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     let mut state = cfg.seed;
     let mut trials = Vec::with_capacity((cfg.faults + cfg.clean_trials) as usize);
-    for t in 0..cfg.faults {
-        let (kind, persistence) = combos[t as usize % combos.len()];
-        let spec = FaultSpec {
-            kind,
-            persistence,
-            layer: (splitmix(&mut state) % layers.len() as u64) as u32,
-            block: splitmix(&mut state) % 64,
+    // Fault trials first, then the clean controls.
+    for t in 0..cfg.faults + cfg.clean_trials {
+        let (spec, nonce) = if t < cfg.faults {
+            let (kind, persistence) = combos[t as usize % combos.len()];
+            let spec = FaultSpec {
+                kind,
+                persistence,
+                layer: (splitmix(&mut state) % layers.len() as u64) as u32,
+                block: splitmix(&mut state) % 64,
+            };
+            (Some(spec), 0x1000 + u64::from(t))
+        } else {
+            (None, 0x9000 + u64::from(t - cfg.faults))
         };
-        let mut injector = FaultInjector::new(splitmix(&mut state), vec![spec]);
-        let nonce = 0x1000 + u64::from(t);
-        let trial = match infer_resilient(
-            &layers,
-            &input,
-            CAMPAIGN_SHIFT,
+        let mut injector = spec.map(|spec| FaultInjector::new(splitmix(&mut state), vec![spec]));
+        let session = SecureSession {
             secret,
             nonce,
-            &cfg.policy,
-            Some(&mut injector),
-        ) {
-            Ok(run) => TrialResult {
-                spec: Some(spec),
-                detected: !run.incidents.is_empty(),
-                recovered: true,
-                aborted: false,
-                output_correct: run.output == reference,
-                refetches: run.incidents.refetches(),
-                reexecutions: run.incidents.reexecutions(),
-                injections: injector.injections(),
-                recovery_cycles: cost.cycles(
-                    run.incidents.refetches(),
-                    run.incidents.reexecutions(),
-                    run.max_layer_blocks,
-                ),
-            },
-            Err(abort) => TrialResult {
-                spec: Some(spec),
-                detected: true,
-                recovered: false,
-                aborted: true,
-                // An abort releases no output — vacuously safe.
-                output_correct: true,
-                refetches: abort.incidents.refetches(),
-                reexecutions: abort.incidents.reexecutions(),
-                injections: injector.injections(),
-                recovery_cycles: cost.cycles(
-                    abort.incidents.refetches(),
-                    abort.incidents.reexecutions(),
-                    abort.max_layer_blocks,
-                ),
-            },
+            shift: CAMPAIGN_SHIFT,
+            policy: cfg.policy,
         };
-        trials.push(trial);
-    }
-
-    for t in 0..cfg.clean_trials {
-        let nonce = 0x9000 + u64::from(t);
-        let trial = match infer_resilient(
+        let outcome = infer_journaled(
             &layers,
             &input,
-            CAMPAIGN_SHIFT,
-            secret,
-            nonce,
-            &cfg.policy,
-            None,
-        ) {
-            Ok(run) => TrialResult {
-                spec: None,
-                detected: !run.incidents.is_empty(),
-                recovered: true,
-                aborted: false,
-                output_correct: run.output == reference,
-                refetches: run.incidents.refetches(),
-                reexecutions: run.incidents.reexecutions(),
-                injections: 0,
-                recovery_cycles: 0,
+            &session,
+            &mut DurableState::default(),
+            &mut Instruments {
+                tracker: &mut PadTracker::new(),
+                injector: injector.as_mut(),
+                clock: None,
             },
-            Err(abort) => TrialResult {
-                spec: None,
-                detected: true,
-                recovered: false,
-                aborted: true,
-                output_correct: false, // a clean run must never abort
-                refetches: abort.incidents.refetches(),
-                reexecutions: abort.incidents.reexecutions(),
-                injections: 0,
-                recovery_cycles: 0,
-            },
+        );
+        let recovered = outcome.is_ok();
+        let aborted = matches!(outcome, Err(JournaledError::Aborted(_)));
+        let (incidents, max_layer_blocks, output_correct) = match outcome {
+            Ok(run) => (run.incidents, run.max_layer_blocks, run.output == reference),
+            // An abort releases no output: vacuously safe after a fault,
+            // but a clean run must never abort.
+            Err(JournaledError::Aborted(abort)) => {
+                (abort.incidents, abort.max_layer_blocks, spec.is_some())
+            }
+            // With no clock and a fresh journal neither a power cut nor a
+            // security stop can occur; if one does, the trial fails.
+            Err(JournaledError::Crashed(_) | JournaledError::Security(_)) => {
+                (IncidentLog::new(), 0, false)
+            }
         };
-        trials.push(trial);
+        let (refetches, reexecutions) = (incidents.refetches(), incidents.reexecutions());
+        trials.push(TrialResult {
+            spec,
+            detected: !incidents.is_empty(),
+            recovered,
+            aborted,
+            output_correct,
+            refetches,
+            reexecutions,
+            injections: injector.as_ref().map_or(0, FaultInjector::injections),
+            recovery_cycles: if spec.is_some() {
+                cost.cycles(refetches, reexecutions, max_layer_blocks)
+            } else {
+                0
+            },
+        });
     }
 
     CampaignReport { trials, cost }

@@ -141,12 +141,6 @@ impl FunctionalNpu {
         self.attacks.push(attack);
     }
 
-    /// Adversary access to the untrusted DRAM (for custom attacks in
-    /// tests/examples).
-    pub fn dram_mut(&mut self) -> &mut UntrustedDram {
-        &mut self.dram
-    }
-
     /// Runs the given per-layer schedules as one network. Layer `i+1`'s
     /// ifmap is layer `i`'s ofmap. Tile partitions must tile the tensors
     /// exactly (the mapper's divisible tilings guarantee this).

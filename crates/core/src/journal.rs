@@ -16,7 +16,8 @@
 //!   tag bound to the device secret *and* the execution nonce (so a
 //!   journal from one execution cannot be replayed into another).
 //! - **Nonce epochs** preserve pad freshness across crashes: every resume
-//!   re-keys the cipher via [`SessionKey::derive_epoch`] with a fresh
+//!   re-keys the cipher via
+//!   [`seculator_crypto::keys::SessionKey::derive_epoch`] with a fresh
 //!   epoch, so the resumed run may repeat the interrupted layer's version
 //!   numbers without ever regenerating a pad. The paper's MACs are
 //!   computed over *plaintext* and are therefore epoch-independent —
@@ -47,7 +48,7 @@ use crate::error::SecurityError;
 use crate::fault::{CrashClock, CrashPhase, PowerLoss};
 use crate::secure_memory::{BlockCoords, UntrustedDram};
 use crate::telemetry;
-use seculator_crypto::keys::{DeviceSecret, SessionKey};
+use seculator_crypto::keys::DeviceSecret;
 use seculator_crypto::sha256::Sha256;
 use std::collections::HashSet;
 
@@ -372,7 +373,7 @@ impl JournalStore {
         Self { bytes }
     }
 
-    /// Appends one sealed record in [`APPEND_CHUNK`]-byte beats, ticking
+    /// Appends one sealed record in 8-byte beats (`APPEND_CHUNK`), ticking
     /// `clock` before each beat — an armed clock can therefore cut the
     /// append mid-record, leaving a torn tail exactly as a real power
     /// loss would.
@@ -543,14 +544,6 @@ pub struct DurableState {
     pub dram: UntrustedDram,
     /// The layer-commit journal (also attacker-readable/writable).
     pub journal: JournalStore,
-}
-
-/// Derives the epoch session key — thin convenience wrapper so callers
-/// outside the crypto crate see the journal and the key derivation side
-/// by side.
-#[must_use]
-pub fn epoch_key(secret: &DeviceSecret, nonce: u64, epoch: u32) -> SessionKey {
-    SessionKey::derive_epoch(secret, nonce, epoch)
 }
 
 // ---------------------------------------------------------------------------

@@ -29,10 +29,8 @@ pub mod retry;
 pub mod secure_infer;
 pub mod secure_memory;
 pub mod session;
-pub mod sgx_functional;
 pub mod storage;
 pub mod telemetry;
-pub mod tnpu_functional;
 pub mod vngen;
 pub mod widening;
 
@@ -41,7 +39,7 @@ pub use audit::{
     RecoveryAction,
 };
 pub use command::{AuthenticatedCommand, Command, CommandError, HostChannel, NpuCommandProcessor};
-pub use detection::{detection_latency, DetectionLatency, RecoveryCost, RecoveryModel};
+pub use detection::{detection_latency, DetectionLatency, RecoveryCost};
 pub use durable::{
     assemble_frames, atomic_write, audit_home, crc32, output_digest, run_persistent,
     run_restart_vfs_campaign, scan_frames, tamper_frame_fix_crc, DurableError, DurableHome,
@@ -65,15 +63,12 @@ pub use mac_verify::{EagerLayerVerifier, LayerMacVerifier, ReadOnlyVerifier, Ver
 pub use mea::{evaluate_defense, infer_layer_dims, AddressTraceObserver, MeaReport};
 pub use noise::{observe_network_with_noise, observe_with_noise, NoiseConfig, NoisyObservation};
 pub use npu::TimingNpu;
-pub use pipeline::{
-    amortization_curve, run_batch, run_batch_under_attack, BatchStats, HostileBatchStats,
-    PipelineConfig,
-};
+pub use pipeline::{amortization_curve, run_batch, BatchStats, PipelineConfig};
 pub use retry::{RestartPolicy, RetryPolicy, RobustnessPolicy, SheddingPolicy};
 pub use secure_infer::{
-    infer_journaled, infer_plain, infer_protected, infer_protected_mode, infer_resilient,
-    infer_resume, AbortReport, InferError, Instruments, JournaledError, JournaledRun, QConvLayer,
-    RecoveryPolicy, ResilientRun, SecureSession,
+    infer_journaled, infer_plain, infer_protected, infer_protected_mode, infer_resume, AbortReport,
+    InferError, Instruments, JournaledError, JournaledRun, QConvLayer, RecoveryPolicy,
+    SecureSession,
 };
 pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram};
 pub use session::{
@@ -82,9 +77,7 @@ pub use session::{
     ServeCampaignConfig, ServeCampaignReport, ServePlan, ServeReport, ServeTrial, SessionManager,
     SessionOutcome, SessionVerdict,
 };
-pub use sgx_functional::{SgxError, SgxMemory};
 pub use storage::{table7_rows, StorageFootprint};
 pub use telemetry::{layer_breakdown, Snapshot as TelemetrySnapshot, SpanEvent};
-pub use tnpu_functional::{TnpuError, TnpuMemory};
 pub use vngen::{FirstReadDetector, PatternCounter, VnGenerator};
 pub use widening::{intersperse_dummy, widen_layer, widen_network};

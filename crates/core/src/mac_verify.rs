@@ -176,7 +176,7 @@ impl LayerMacVerifier {
 }
 
 /// Single-layer *eager* verifier used by the detect-and-recover driver
-/// ([`crate::secure_infer::infer_resilient`] and [`crate::fault`]).
+/// ([`crate::secure_infer::infer_journaled`] and [`crate::fault`]).
 ///
 /// One instance covers one execution attempt of one layer, and the
 /// equation `MAC_W = MAC_FR ⊕ MAC_R` is checked as soon as the layer's

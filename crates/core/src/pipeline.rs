@@ -151,79 +151,6 @@ pub fn paper_npu() -> TimingNpu {
     TimingNpu::new(NpuConfig::paper())
 }
 
-/// Batch statistics under an active adversary: each inference attempt is
-/// independently attacked with some probability, detection fires after
-/// the scheme's detection window, and the NPU reboots and retries
-/// ([`RecoveryModel`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostileBatchStats {
-    /// The quiet-conditions stats the hostile run degrades from.
-    pub quiet: BatchStats,
-    /// Probability that one inference attempt is attacked.
-    pub attack_probability: f64,
-    /// Expected cycles per inference including detection + reboot +
-    /// retry overhead.
-    pub expected_cycles_per_inference: f64,
-    /// Expected total cycles for the batch.
-    pub expected_total_cycles: f64,
-}
-
-impl HostileBatchStats {
-    /// Throughput degradation factor versus quiet conditions (≥ 1).
-    #[must_use]
-    pub fn slowdown(&self) -> f64 {
-        self.expected_total_cycles / self.quiet.total_cycles as f64
-    }
-}
-
-/// Runs `batch` inferences while each attempt is attacked independently
-/// with probability `attack_probability`, modeling detection latency and
-/// detect-and-reboot recovery on top of [`run_batch`]'s amortization.
-///
-/// # Errors
-///
-/// Propagates mapping failures from the timing NPU.
-///
-/// # Panics
-///
-/// Panics if `attack_probability` is not in `[0, 1)` (a certain attack
-/// never completes).
-pub fn run_batch_under_attack(
-    npu: &TimingNpu,
-    network: &Network,
-    scheme: SchemeKind,
-    batch: u32,
-    cfg: &PipelineConfig,
-    model: &crate::detection::RecoveryModel,
-    attack_probability: f64,
-) -> Result<HostileBatchStats, seculator_arch::mapper::MapperError> {
-    let quiet = run_batch(npu, network, scheme, batch, cfg)?;
-    let run = npu.run(network, scheme)?;
-    let window = crate::detection::detection_latency(scheme, &run);
-    let rekey = if scheme == SchemeKind::Baseline {
-        0
-    } else {
-        cfg.rekey_cycles
-    };
-    let per_inference = if scheme == SchemeKind::Baseline {
-        // No integrity means no detection and no recovery: the attack
-        // silently corrupts the output and costs no extra cycles — the
-        // hostile "throughput" is unchanged, the results worthless.
-        quiet.inference_cycles as f64
-    } else {
-        model.expected_completion_cycles(quiet.inference_cycles, window, attack_probability)
-    };
-    let expected_cycles_per_inference = per_inference + rekey as f64;
-    let expected_total_cycles =
-        quiet.provision_cycles as f64 + f64::from(batch) * expected_cycles_per_inference;
-    Ok(HostileBatchStats {
-        quiet,
-        attack_probability,
-        expected_cycles_per_inference,
-        expected_total_cycles,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,42 +202,6 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[0].1 >= w[1].1, "curve must be monotone");
         }
-    }
-
-    #[test]
-    fn hostile_batches_degrade_gracefully() {
-        let npu = paper_npu();
-        let cfg = PipelineConfig::default();
-        let model = crate::detection::RecoveryModel::default();
-        let net = tiny_cnn();
-        let quiet = run_batch_under_attack(&npu, &net, SchemeKind::Seculator, 8, &cfg, &model, 0.0)
-            .unwrap();
-        assert!(
-            (quiet.slowdown() - 1.0).abs() < 1e-9,
-            "no attack, no overhead"
-        );
-        let hostile =
-            run_batch_under_attack(&npu, &net, SchemeKind::Seculator, 8, &cfg, &model, 0.3)
-                .unwrap();
-        assert!(hostile.slowdown() > 1.0);
-        let worse = run_batch_under_attack(&npu, &net, SchemeKind::Seculator, 8, &cfg, &model, 0.6)
-            .unwrap();
-        assert!(
-            worse.slowdown() > hostile.slowdown(),
-            "more attacks, more retries"
-        );
-        // Block-level detection (shorter window) recovers cheaper per
-        // incident than Seculator's layer-level detection.
-        let tnpu =
-            run_batch_under_attack(&npu, &net, SchemeKind::Tnpu, 8, &cfg, &model, 0.3).unwrap();
-        let tnpu_overhead = tnpu.expected_cycles_per_inference - tnpu.quiet.inference_cycles as f64;
-        let seculator_overhead =
-            hostile.expected_cycles_per_inference - hostile.quiet.inference_cycles as f64;
-        assert!(
-            tnpu_overhead < seculator_overhead,
-            "earlier detection must waste fewer cycles per attack \
-             ({tnpu_overhead} vs {seculator_overhead})"
-        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! scheduler enforces.
 //!
 //! Before this module, the ladder's attempt counts lived as magic
-//! numbers duplicated between [`crate::secure_infer::infer_resilient`]
-//! and the scheduler's per-layer step; both now read them from one
-//! [`RecoveryPolicy`], and the scheduler composes it into a
+//! numbers duplicated between the standalone recovery driver and the
+//! scheduler's per-layer step; the one journaled step now reads them
+//! from [`RecoveryPolicy`], and the scheduler composes it into a
 //! [`RetryPolicy`] that adds *session-level* retries: when a whole layer
 //! step fails (ladder exhausted, or a power cut tore the volatile
 //! state), the scheduler re-admits the session from its journal under a
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn classic_ladder_matches_the_old_hard_coded_constants() {
-        // The exact numbers `infer_resilient` and the scheduler step
+        // The exact numbers the recovery driver and the scheduler step
         // used before extraction. Changing either default silently
         // changes every campaign's behavior — this pins them.
         let ladder = RetryPolicy::classic().ladder;

@@ -363,20 +363,7 @@ pub fn infer_protected_mode(
 /// `secure_infer::RecoveryPolicy` paths keep working.
 pub use crate::retry::RecoveryPolicy;
 
-/// A completed resilient inference: the verified output plus the audit
-/// trail of every recovery action taken along the way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientRun {
-    /// Verified network output.
-    pub output: QTensor3,
-    /// Every detection + recovery action, in order. Empty on a clean run.
-    pub incidents: IncidentLog,
-    /// Largest per-layer tensor in 64-byte blocks (feeds the
-    /// [`crate::detection::RecoveryCost`] latency model).
-    pub max_layer_blocks: u64,
-}
-
-/// A gracefully-aborted resilient inference: recovery was exhausted, no
+/// A gracefully-aborted journaled inference: recovery was exhausted, no
 /// output was released, and the full audit record explains why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbortReport {
@@ -430,264 +417,6 @@ fn load_via(
         Some(inj) => inj.load(dram, addr, ctx),
         None => dram.load(addr),
     }
-}
-
-/// Protected inference with detection *and bounded recovery*: instead of
-/// failing the whole run on the first bad MAC (like [`infer_protected`]),
-/// each layer is verified eagerly — the consumer's first reads happen
-/// within the producing step, closing `MAC_W = MAC_FR ⊕ MAC_R` before the
-/// data is consumed — and a detected breach triggers the recovery ladder:
-///
-/// 1. **Re-fetch** (up to [`RecoveryPolicy::max_refetches`] per attempt):
-///    re-stream the tensor from DRAM and re-check. Recovers transient
-///    read corruption (the stored ciphertext was never wrong).
-/// 2. **Re-execute** (up to [`RecoveryPolicy::max_reexecutions`]): redo
-///    the layer from its verified input under a fresh VN base and fresh
-///    MAC registers. Recovers persistent corruption of stored state.
-/// 3. **Abort**: return an [`AbortReport`] carrying
-///    [`SecurityError::RecoveryExhausted`] and the full incident log. No
-///    output is released.
-///
-/// Each layer writes *two* versions of its output (a partial-accumulation
-/// tensor, then the final tensor at the same addresses under the next
-/// VN), so the verifier's read and first-read registers both see traffic
-/// within one layer — this is what makes eager, layer-local verification
-/// and therefore *layer-local* recovery possible, at the cost of one
-/// extra tensor round trip per layer versus the deferred scheme.
-///
-/// `injector` interposes the adversary of [`crate::fault`] on every
-/// DRAM access; pass `None` for a clean (but still fully verified) run.
-///
-/// # Errors
-///
-/// Returns the boxed [`AbortReport`] when a breach persisted through
-/// every recovery avenue. Detection of *recoverable* faults is not an
-/// error — it is recorded in [`ResilientRun::incidents`].
-pub fn infer_resilient(
-    layers: &[QConvLayer],
-    input: &QTensor3,
-    shift: u32,
-    secret: DeviceSecret,
-    nonce: u64,
-    policy: &RecoveryPolicy,
-    mut injector: Option<&mut FaultInjector>,
-) -> Result<ResilientRun, Box<AbortReport>> {
-    let datapath = CryptoDatapath::new(secret, nonce);
-    let mut dram = UntrustedDram::new();
-    let mut incidents = IncidentLog::new();
-    let mut activ = input.clone();
-    let mut base_addr = 0x1_0000u64;
-    let mut max_layer_blocks = 0u64;
-
-    for (li, layer) in layers.iter().enumerate() {
-        let li = li as u32;
-        // Split the channel groups into a head (written as the partial
-        // version) and the rest (folded in for the final version). A
-        // single-group layer writes its full result as the "partial" and
-        // folds in nothing.
-        let groups = &layer.channel_groups;
-        let (head, rest) = if groups.len() > 1 {
-            groups.split_at(1)
-        } else {
-            (&groups[..], &[][..])
-        };
-
-        let mut layer_refetches = 0u32;
-        let mut attempt = 0u32;
-        let verified_blocks = loop {
-            // Fresh VN base and fresh MAC registers per attempt: stale
-            // ciphertext from a failed attempt can never authenticate.
-            let v_part = attempt * 2 + 1;
-            let v_full = attempt * 2 + 2;
-            let mut lv = EagerLayerVerifier::new();
-
-            // Pass 1: compute + evict the partial accumulation. The pure
-            // encrypt+MAC work is batched up front (fanning out in
-            // parallel mode); the injector-visible stores then run in
-            // the original block order.
-            let partial = qconv2d_grouped(&activ, &layer.weights, layer.stride, head);
-            let (k, h, w) = (partial.k, partial.h, partial.w);
-            let pblocks = accum_to_blocks(&partial);
-            let nblocks = pblocks.len() as u64;
-            let pcoords = tile_coords(li, li, v_part, pblocks.len());
-            let sealed = datapath.seal_blocks(&pcoords, &pblocks);
-            for (i, (ct, mac)) in sealed.into_iter().enumerate() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: false,
-                    attempt,
-                };
-                store_via(
-                    &mut injector,
-                    &mut dram,
-                    base_addr + i as u64 * 64,
-                    ct,
-                    &ctx,
-                );
-                lv.on_write(&mac);
-            }
-
-            // Read the partial back (ordinary reads — they balance the
-            // partial writes in the MAC equation) and fold in the
-            // remaining channel groups. Loads stay sequential (the
-            // injector sees them in order); decrypt+MAC is batched.
-            let mut part_ct = Vec::with_capacity(pblocks.len());
-            for i in 0..pblocks.len() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: false,
-                    attempt,
-                };
-                part_ct.push(load_via(
-                    &mut injector,
-                    &dram,
-                    base_addr + i as u64 * 64,
-                    &ctx,
-                ));
-            }
-            let mut part_rd = Vec::with_capacity(pblocks.len());
-            for (pt, mac) in datapath.open_blocks(&pcoords, &part_ct) {
-                lv.on_read(&mac);
-                part_rd.push(pt);
-            }
-            let partial_back = blocks_to_accum(&part_rd, k, h, w);
-            let mut full = qconv2d_grouped(&activ, &layer.weights, layer.stride, rest);
-            for kk in 0..k {
-                for y in 0..h {
-                    for x in 0..w {
-                        *full.at_mut(kk, y, x) =
-                            full.get(kk, y, x).wrapping_add(partial_back.get(kk, y, x));
-                    }
-                }
-            }
-
-            // Pass 2: evict the final version at the same addresses.
-            let fblocks = accum_to_blocks(&full);
-            let fcoords = tile_coords(li, li, v_full, fblocks.len());
-            let sealed = datapath.seal_blocks(&fcoords, &fblocks);
-            for (i, (ct, mac)) in sealed.into_iter().enumerate() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: true,
-                    attempt,
-                };
-                // The on-chip register absorbs the MAC at issue time even
-                // if the adversary drops the write on its way to DRAM.
-                lv.on_write(&mac);
-                store_via(
-                    &mut injector,
-                    &mut dram,
-                    base_addr + i as u64 * 64,
-                    ct,
-                    &ctx,
-                );
-            }
-
-            // The adversary's window: the tensor now sits in hostile DRAM.
-            if let Some(inj) = injector.as_deref_mut() {
-                inj.tamper_stored(&mut dram, li, attempt, base_addr, nblocks, &mut lv);
-            }
-
-            // Consume: first-read the final version, closing the layer's
-            // equation *before* its data feeds the next layer. On a bad
-            // check, re-fetch up to the policy bound.
-            let mut refetches_this_attempt = 0u32;
-            let consumed = loop {
-                lv.reset_first_reads();
-                let mut cts = Vec::with_capacity(fblocks.len());
-                for i in 0..fblocks.len() {
-                    let ctx = AccessCtx {
-                        layer: li,
-                        block: i as u64,
-                        blocks: nblocks,
-                        base: base_addr,
-                        final_version: true,
-                        attempt,
-                    };
-                    cts.push(load_via(
-                        &mut injector,
-                        &dram,
-                        base_addr + i as u64 * 64,
-                        &ctx,
-                    ));
-                }
-                let mut rd = Vec::with_capacity(fblocks.len());
-                for (pt, mac) in datapath.open_blocks(&fcoords, &cts) {
-                    lv.on_first_read(&mac);
-                    rd.push(pt);
-                }
-                if lv.check().is_verified() {
-                    break Some(rd);
-                }
-                if refetches_this_attempt < policy.max_refetches {
-                    refetches_this_attempt += 1;
-                    layer_refetches += 1;
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::Refetch,
-                        cause: SecurityError::LayerIntegrity { layer_id: li },
-                    });
-                    continue;
-                }
-                break None;
-            };
-
-            match consumed {
-                Some(rd) => {
-                    activ = requantize_shift(&blocks_to_accum(&rd, k, h, w), shift);
-                    max_layer_blocks = max_layer_blocks.max(nblocks);
-                    base_addr += nblocks * 64;
-                    break rd;
-                }
-                None if attempt < policy.max_reexecutions => {
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::ReExecute,
-                        cause: SecurityError::LayerIntegrity { layer_id: li },
-                    });
-                    attempt += 1;
-                }
-                None => {
-                    let error = SecurityError::RecoveryExhausted {
-                        layer_id: li,
-                        refetches: layer_refetches,
-                        reexecutions: attempt,
-                    };
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::Abort,
-                        cause: error.clone(),
-                    });
-                    return Err(Box::new(AbortReport {
-                        error,
-                        incidents,
-                        max_layer_blocks: max_layer_blocks.max(nblocks),
-                    }));
-                }
-            }
-        };
-        // `activ` was already advanced from the verified blocks above;
-        // `verified_blocks` only pins the loop's break type.
-        let _ = verified_blocks;
-    }
-
-    Ok(ResilientRun {
-        output: activ,
-        incidents,
-        max_layer_blocks,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -912,11 +641,28 @@ pub(crate) fn open_journaled_cursor(
     ))
 }
 
-/// Executes and commits exactly one layer of a journaled run —
-/// [`infer_resilient`]'s two-version write plan and recovery ladder,
-/// plus (a) a [`CrashClock`] tick on every stateful step, (b) the
-/// [`PadTracker`] check on every encryption, and (c) one sealed
-/// [`JournalRecord`] appended at the verified layer boundary — the
+/// Executes and commits exactly one layer of a journaled run.
+///
+/// Unlike [`infer_protected`], which fails the whole run on the first
+/// bad MAC, each layer is verified eagerly: it writes *two* versions of
+/// its output (a partial accumulation, then the final tensor at the same
+/// addresses under the next VN), so the consumer's first reads close
+/// `MAC_W = MAC_FR ⊕ MAC_R` before the data feeds the next layer. A
+/// detected breach climbs the recovery ladder:
+///
+/// 1. **Re-fetch** (up to [`RecoveryPolicy::max_refetches`] per attempt):
+///    re-stream the tensor and re-check. Recovers transient read
+///    corruption.
+/// 2. **Re-execute** (up to [`RecoveryPolicy::max_reexecutions`]): redo
+///    the layer from its verified input under a fresh VN base and fresh
+///    MAC registers. Recovers persistent corruption of stored state.
+/// 3. **Abort**: return an [`AbortReport`] carrying
+///    [`SecurityError::RecoveryExhausted`] and the full incident log. No
+///    output is released.
+///
+/// Around the ladder, (a) a [`CrashClock`] ticks on every stateful step,
+/// (b) the [`PadTracker`] checks every encryption, and (c) one sealed
+/// [`JournalRecord`] is appended at the verified layer boundary — the
 /// commit point after which a crash costs at most the *next* layer's
 /// work. On success the cursor advances to the next layer; on abort the
 /// incident log travels out inside the report and the cursor is spent.

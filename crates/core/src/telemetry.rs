@@ -521,7 +521,7 @@ fn push_event(stage: &'static str, key: u64, ns: u64) {
 }
 
 /// Returns all buffered events with `seq >= since`, oldest first. The
-/// ring holds the most recent [`EVENT_CAPACITY`] events; anything older
+/// ring holds the most recent 4096 events (`EVENT_CAPACITY`); anything older
 /// has been overwritten (detectable from gaps in `seq`).
 #[must_use]
 pub fn events_since(since: u64) -> Vec<SpanEvent> {

@@ -1,5 +1,4 @@
-//! Arithmetic in the AES finite field GF(2^8) and the XTS tweak field
-//! GF(2^128).
+//! Arithmetic in the AES finite field GF(2^8).
 //!
 //! The AES field uses the irreducible polynomial
 //! `x^8 + x^4 + x^3 + x + 1` (0x11B). These helpers are used both by the
@@ -75,25 +74,6 @@ pub const fn sbox_byte(x: u8) -> u8 {
     sbox_affine(gf_inv(x))
 }
 
-/// Multiply a 128-bit XTS tweak by `α` (the polynomial `x`) in GF(2^128)
-/// modulo `x^128 + x^7 + x^2 + x + 1`, using the IEEE 1619 little-endian
-/// byte convention (carry out of byte 15 bit 7 folds 0x87 into byte 0).
-#[inline]
-#[must_use]
-pub fn xts_mul_alpha(tweak: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in 0..16 {
-        let next_carry = tweak[i] >> 7;
-        out[i] = (tweak[i] << 1) | carry;
-        carry = next_carry;
-    }
-    if carry != 0 {
-        out[0] ^= 0x87;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,28 +114,5 @@ mod tests {
         assert_eq!(sbox_byte(0x01), 0x7C);
         assert_eq!(sbox_byte(0x53), 0xED);
         assert_eq!(sbox_byte(0xFF), 0x16);
-    }
-
-    #[test]
-    fn xts_alpha_no_carry() {
-        let t = [1u8; 16];
-        let m = xts_mul_alpha(&t);
-        // No byte has bit 7 set, so every byte simply shifts left.
-        assert_eq!(m, [2u8; 16]);
-        // A byte with bit 7 set carries into the next byte.
-        let mut t2 = [0u8; 16];
-        t2[3] = 0x80;
-        let m2 = xts_mul_alpha(&t2);
-        assert_eq!(m2[3], 0);
-        assert_eq!(m2[4], 1);
-    }
-
-    #[test]
-    fn xts_alpha_carry_folds_polynomial() {
-        let mut t = [0u8; 16];
-        t[15] = 0x80;
-        let m = xts_mul_alpha(&t);
-        assert_eq!(m[0], 0x87);
-        assert_eq!(m[15], 0x00);
     }
 }

@@ -12,16 +12,12 @@
 //!   constant-time backends' claims.
 //! - [`ctr`] — AES counter mode over 64-byte memory blocks with
 //!   Seculator's major/minor counter layout (fmap ‖ layer, VN ‖ index).
-//! - [`xts`] — AES-XTS tweakable cipher (TNPU / SGX-Server-style total
-//!   memory encryption).
 //! - [`sha256`] — SHA-256 (FIPS-180-4) with derived round constants.
 //! - [`xor_mac`] — XOR-aggregated block MACs and the 256-bit on-chip
 //!   registers behind Seculator's layer-level integrity equation
 //!   `MAC_W = MAC_FR ⊕ MAC_R`.
-//! - [`merkle`] — the integrity tree the SGX-Client-style baseline pays
-//!   for on counter-cache misses.
 //! - [`keys`] — device secrets and per-execution session-key derivation.
-//! - [`gf`] — GF(2^8) / GF(2^128) arithmetic shared by the above.
+//! - [`gf`] — GF(2^8) arithmetic behind the AES S-box and rounds.
 //!
 //! Everything here is *functional* (bit-exact) crypto; the corresponding
 //! cycle costs live in `seculator-sim`.
@@ -55,20 +51,16 @@ pub mod gf;
 #[cfg(target_arch = "x86_64")]
 mod hwaccel;
 pub mod keys;
-pub mod merkle;
 pub mod sha256;
 pub mod timing;
 pub mod xor_mac;
-pub mod xts;
 
 pub use aes::Aes128;
 pub use backend::{Backend, BackendChoice, BackendKind, BackendUnsupported, CryptoBackend};
 pub use ctr::{AesCtr, BlockCounter};
 pub use keys::{DeviceSecret, SessionKey};
-pub use merkle::MerkleTree;
 pub use sha256::Sha256;
 pub use xor_mac::{block_mac, BlockMacEngine, BlockMacInput, MacRegister};
-pub use xts::AesXts;
 
 /// Size in bytes of one NPU memory block (the unit of encryption and MAC
 /// computation throughout the paper).

@@ -129,7 +129,7 @@ const MAC_MSG_LEN: usize = 96;
 /// Precomputed per-block MAC engine: the high-throughput counterpart of
 /// [`block_mac`].
 ///
-/// The MAC preimage is always exactly [`MAC_MSG_LEN`] bytes, so the hash
+/// The MAC preimage is always exactly 96 bytes (`MAC_MSG_LEN`), so the hash
 /// is always exactly two SHA-256 compressions with a fixed padding tail.
 /// The engine freezes the device secret and the fully-padded second
 /// block at construction — already converted to the big-endian schedule

@@ -52,17 +52,6 @@ impl Network {
     pub fn weight_bytes(&self) -> u64 {
         self.layers.iter().map(LayerDesc::weight_bytes).sum()
     }
-
-    /// Largest single-layer output feature map in bytes (a lower bound on
-    /// the protected-memory working set).
-    #[must_use]
-    pub fn peak_ofmap_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(LayerDesc::ofmap_bytes)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl std::fmt::Display for Network {

@@ -172,13 +172,6 @@ pub fn paper_benchmarks() -> Vec<Network> {
     vec![mobilenet(), resnet18(), alexnet(), vgg16(), vgg19()]
 }
 
-/// A scaled-down benchmark suite (32×32 inputs, narrow channels) with the
-/// same layer *structure*, for fast tests and examples.
-#[must_use]
-pub fn tiny_benchmarks() -> Vec<Network> {
-    vec![tiny_cnn(), tiny_mlp()]
-}
-
 /// A small LeNet-style CNN on 32×32×3 inputs — the "base layer" geometry
 /// the paper's Figure 9 widening experiment starts from.
 #[must_use]

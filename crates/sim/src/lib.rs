@@ -30,7 +30,6 @@ pub mod config;
 pub mod dram;
 pub mod energy;
 pub mod executor;
-pub mod global_buffer;
 pub mod reuse;
 pub mod stats;
 pub mod systolic;
@@ -41,7 +40,6 @@ pub use config::{DramConfig, NpuConfig};
 pub use dram::{Dram, DramStats, TrafficClass};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use executor::{LayerTimer, StepCost};
-pub use global_buffer::{BufferClass, BufferStats, GlobalBuffer};
 pub use reuse::{ReuseHistogram, StackDistance};
 pub use stats::{LayerStats, RunStats};
 pub use systolic::SystolicArray;

@@ -500,16 +500,6 @@ impl Daemon {
         self.mgr.scheduler_ns()
     }
 
-    /// Model-zoo input for one model name (what a well-formed client
-    /// submits).
-    #[must_use]
-    pub fn model_input(&self, name: &str) -> Option<&seculator_compute::quant::QTensor3> {
-        self.models
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| &m.input)
-    }
-
     /// Deterministic daemon summary: counters, ledger, and every
     /// recorded result sorted by `(tenant, request)` — byte-identical
     /// per seed under the loopback transport (wall times never appear).

@@ -125,17 +125,6 @@ impl LoopbackNet {
         let busy = self.daemon.tick();
         delivered || busy
     }
-
-    /// Pumps until quiescent (every pending frame delivered, every live
-    /// session terminal). Bounded by `max_steps` as a hang guard.
-    pub fn pump_to_quiescence(&mut self, max_steps: u64) -> bool {
-        for _ in 0..max_steps {
-            if !self.pump_once() && self.pending.is_empty() {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// One client's handle onto the loopback network. `send` enqueues into

@@ -173,7 +173,7 @@ pub trait ParallelIterator: Sized + Sync {
     }
 
     /// Accepted for upstream compatibility; chunking here is already
-    /// bounded by [`MIN_ITEMS_PER_THREAD`], so this is a no-op.
+    /// bounded by `MIN_ITEMS_PER_THREAD` (16 items), so this is a no-op.
     fn with_min_len(self, _min: usize) -> Self {
         self
     }

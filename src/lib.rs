@@ -6,8 +6,8 @@
 //!
 //! The workspace is organized bottom-up:
 //!
-//! - [`crypto`] (`seculator-crypto`) — AES-128/CTR/XTS, SHA-256,
-//!   XOR-MACs, Merkle trees, key derivation (all from scratch).
+//! - [`crypto`] (`seculator-crypto`) — AES-128/CTR, SHA-256, XOR-MACs,
+//!   key derivation (all from scratch).
 //! - [`arch`] (`seculator-arch`) — layers, tilings, dataflows, tile
 //!   traces, and the master-equation VN pattern machinery.
 //! - [`models`] (`seculator-models`) — MobileNet / ResNet / AlexNet /

@@ -53,6 +53,50 @@ fn fault_campaign_subcommand_passes_and_is_deterministic() {
     assert_eq!(stdout, again, "same seed, same report");
 }
 
+/// The whole fault-campaign report at two seeds, pinned: a changed
+/// refetch, re-execution or abort count fails here even when the verdict
+/// still reads PASS.
+#[test]
+fn fault_campaign_reports_are_pinned() {
+    const SEED_42: &str = "\
+fault campaign: seed 42 / 26 fault trials / 8 clean controls
+
+fault trials        : 26 injected, 8 clean controls
+detection rate      : 100.0% (26 of 26)
+false positives     : 0 (0.0%)
+recovered (refetch) : 6
+recovered (re-exec) : 10
+graceful aborts     : 10
+recovery latency    : mean 5215 cycles, worst 9120 cycles
+silent corruption   : none
+verdict             : PASS
+";
+    const SEED_99_300: &str = "\
+fault campaign: seed 99 / 300 fault trials / 8 clean controls
+
+fault trials        : 300 injected, 8 clean controls
+detection rate      : 100.0% (300 of 300)
+false positives     : 0 (0.0%)
+recovered (refetch) : 70
+recovered (re-exec) : 115
+graceful aborts     : 115
+recovery latency    : mean 5198 cycles, worst 9120 cycles
+silent corruption   : none
+verdict             : PASS
+";
+    for (args, expected) in [
+        (&["fault-campaign", "--seed", "42"][..], SEED_42),
+        (
+            &["fault-campaign", "--seed", "99", "--faults", "300"][..],
+            SEED_99_300,
+        ),
+    ] {
+        let (ok, stdout, _) = run(args);
+        assert!(ok, "{args:?}: {stdout}");
+        assert_eq!(stdout, expected, "{args:?}");
+    }
+}
+
 #[test]
 fn patterns_subcommand_draws_plots() {
     let (ok, stdout, _) = run(&["patterns", "--k", "8", "--c", "4", "--hw", "8"]);

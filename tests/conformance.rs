@@ -5,7 +5,7 @@
 //! rebuilt mid-pattern, the crash-recovery path.
 
 use seculator::core::journal::{campaign_models, DurableState, PadTracker};
-use seculator::core::secure_infer::{infer_resilient, Instruments};
+use seculator::core::secure_infer::Instruments;
 use seculator::core::TimingNpu;
 use seculator::core::{
     infer_journaled, infer_plain, infer_protected_mode, infer_resume, CrashClock, DatapathMode,
@@ -13,9 +13,9 @@ use seculator::core::{
 };
 use seculator::models::zoo;
 
-/// Every zoo model, five datapaths, one answer: plaintext reference,
+/// Every zoo model, four datapaths, one answer: plaintext reference,
 /// protected inference over the serial and parallel crypto datapaths,
-/// the detect-and-recover resilient driver, and the journaled driver.
+/// and the journaled detect-and-recover driver.
 #[test]
 fn every_zoo_model_is_bit_identical_across_all_datapaths() {
     for m in campaign_models() {
@@ -35,18 +35,6 @@ fn every_zoo_model_is_bit_identical_across_all_datapaths() {
             assert_eq!(out, expected, "{}: protected {mode:?} diverged", m.name);
         }
 
-        let resilient = infer_resilient(
-            &m.layers,
-            &m.input,
-            m.session.shift,
-            m.session.secret,
-            m.session.nonce,
-            &m.session.policy,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{}: resilient run aborted: {e:?}", m.name));
-        assert_eq!(resilient.output, expected, "{}: resilient diverged", m.name);
-
         let journaled = infer_journaled(
             &m.layers,
             &m.input,
@@ -63,7 +51,7 @@ fn every_zoo_model_is_bit_identical_across_all_datapaths() {
     }
 }
 
-/// The fifth datapath: journaled inference cut by a power loss halfway
+/// The fourth datapath: journaled inference cut by a power loss halfway
 /// through its instant space, then resumed. The stitched run must still
 /// be bit-identical to the plaintext reference on every model.
 #[test]
@@ -128,7 +116,7 @@ fn every_zoo_model_survives_a_mid_run_cut_bit_identically() {
     }
 }
 
-/// The sixth datapath: inference scheduled by the chaos-hardened
+/// The fifth datapath: inference scheduled by the chaos-hardened
 /// multi-session scheduler. A healthy tenant co-resident with a
 /// relentless DRAM adversary (driven into quarantine) and a crash-cut
 /// tenant (recovered through a session retry) must still be
@@ -260,7 +248,7 @@ fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
     }
 }
 
-/// The seventh datapath: batched multi-tenant inference. Three tenants
+/// The sixth datapath: batched multi-tenant inference. Three tenants
 /// sharing one Arc'd weight set arrive in the same round, so every
 /// scheduler round steps all three at the same layer (weights shared,
 /// MAC registers / VN-FSM / journal / nonce space strictly per-tenant).
@@ -473,7 +461,7 @@ fn every_backend_resumes_a_cut_inference_bit_identically() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
-/// The eighth datapath: inference served over the `SWP1` wire. One
+/// The seventh datapath: inference served over the `SWP1` wire. One
 /// loopback daemon, one authenticated client per zoo model (tenant i
 /// runs model i), every answer crossing the wire as real CRC32-framed
 /// bytes — and every wire-delivered output must be bit-identical to

@@ -4,7 +4,6 @@
 //! storage differs.
 
 use seculator::core::command::{Command, HostChannel, NpuCommandProcessor};
-use seculator::core::sgx_functional::SgxMemory;
 use seculator::core::storage::{seculator_footprint, table7_rows};
 use seculator::core::TimingNpu;
 use seculator::crypto::keys::{DeviceSecret, SessionKey};
@@ -96,57 +95,4 @@ fn storage_gap_holds_for_every_paper_benchmark() {
         // Seculator's footprint is workload-independent.
         assert_eq!(seculator, seculator_footprint(&[]).total());
     }
-}
-
-#[test]
-fn both_functional_datapaths_detect_the_same_tamper() {
-    // SGX-style per-block scheme.
-    let mut sgx = SgxMemory::new(DeviceSecret::from_seed(9), 1, 8);
-    sgx.write(0x100, &[7; 64]);
-    sgx.tamper(0x100, 3, 3);
-    assert!(
-        sgx.read(0x100).is_err(),
-        "sgx-style datapath detects tampering"
-    );
-
-    // Seculator layer-level scheme (via the attack-injection harness).
-    use seculator::arch::dataflow::{ConvDataflow, Dataflow};
-    use seculator::arch::layer::{ConvShape, LayerDesc, LayerKind};
-    use seculator::arch::tiling::TileConfig;
-    use seculator::arch::trace::LayerSchedule;
-    use seculator::core::{Attack, FunctionalNpu};
-    let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(8, 4, 16, 3)));
-    let schedules = vec![LayerSchedule::new(
-        layer,
-        Dataflow::Conv(ConvDataflow::IrMultiChannelAlongChannel),
-        TileConfig {
-            kt: 4,
-            ct: 2,
-            ht: 8,
-            wt: 8,
-        },
-    )
-    .expect("resolves")];
-    let mut npu = FunctionalNpu::new(DeviceSecret::from_seed(9), 1);
-    npu.inject(Attack::TamperOfmap {
-        layer_id: 0,
-        block_index: 0,
-    });
-    assert!(
-        npu.run(&schedules).is_err(),
-        "seculator datapath detects tampering"
-    );
-}
-
-#[test]
-fn sgx_replay_of_consistent_pair_is_caught() {
-    // The strongest replay: ciphertext *and* MAC rolled back together.
-    // Only the counter + integrity tree catches it — exactly the storage
-    // Seculator's VN generation replaces.
-    let mut sgx = SgxMemory::new(DeviceSecret::from_seed(10), 2, 4);
-    sgx.write(0x40, &[1; 64]);
-    let stale = sgx.snapshot(0x40).unwrap();
-    sgx.write(0x40, &[2; 64]);
-    sgx.replay(0x40, stale);
-    assert!(sgx.read(0x40).is_err());
 }

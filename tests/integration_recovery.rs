@@ -1,14 +1,17 @@
-//! End-to-end recovery behavior of the resilient secure-inference
+//! End-to-end recovery behavior of the journaled secure-inference
 //! driver: transient faults recover by re-fetching, persistent faults by
 //! layer re-execution, relentless faults abort gracefully with a full
 //! audit record — and the deterministic campaign meets the acceptance
 //! bar (100 % detection, 0 false positives, no silent corruption).
 
 use seculator::compute::quant::{QTensor3, QTensor4};
-use seculator::core::secure_infer::{infer_plain, infer_resilient, QConvLayer, RecoveryPolicy};
+use seculator::core::secure_infer::{
+    infer_journaled, infer_plain, Instruments, JournaledError, JournaledRun, QConvLayer,
+    RecoveryPolicy, SecureSession,
+};
 use seculator::core::{
-    run_campaign, CampaignConfig, FaultInjector, FaultKind, FaultSpec, Persistence, RecoveryAction,
-    SecurityError,
+    run_campaign, AbortReport, CampaignConfig, DurableState, FaultInjector, FaultKind, FaultSpec,
+    PadTracker, Persistence, RecoveryAction, SecurityError,
 };
 use seculator::crypto::DeviceSecret;
 
@@ -29,21 +32,45 @@ fn input() -> QTensor3 {
     QTensor3::seeded(2, 8, 8, 5)
 }
 
-fn run_with(
-    spec: FaultSpec,
-) -> Result<seculator::core::ResilientRun, Box<seculator::core::AbortReport>> {
-    let mut injector = FaultInjector::new(99, vec![spec]);
-    let r = infer_resilient(
+/// One journaled run of the test network on a fresh journal, with no
+/// power-cut clock.
+fn run(
+    nonce: u64,
+    policy: RecoveryPolicy,
+    injector: Option<&mut FaultInjector>,
+) -> Result<JournaledRun, JournaledError> {
+    let session = SecureSession {
+        secret: DeviceSecret::from_seed(3),
+        nonce,
+        shift: SHIFT,
+        policy,
+    };
+    infer_journaled(
         &net(),
         &input(),
-        SHIFT,
-        DeviceSecret::from_seed(3),
-        11,
-        &RecoveryPolicy::default(),
-        Some(&mut injector),
-    );
+        &session,
+        &mut DurableState::default(),
+        &mut Instruments {
+            tracker: &mut PadTracker::new(),
+            injector,
+            clock: None,
+        },
+    )
+}
+
+fn run_with(spec: FaultSpec) -> Result<JournaledRun, JournaledError> {
+    let mut injector = FaultInjector::new(99, vec![spec]);
+    let r = run(11, RecoveryPolicy::default(), Some(&mut injector));
     assert!(injector.injections() > 0, "fault must fire: {spec}");
     r
+}
+
+/// The abort report of a run that must have exhausted its ladder.
+fn expect_abort(result: Result<JournaledRun, JournaledError>, why: &str) -> Box<AbortReport> {
+    match result {
+        Err(JournaledError::Aborted(abort)) => abort,
+        other => panic!("{why}: {other:?}"),
+    }
 }
 
 #[test]
@@ -110,7 +137,7 @@ fn relentless_fault_aborts_gracefully_with_audit_record() {
         layer: 0,
         block: 0,
     };
-    let abort = run_with(spec).expect_err("relentless faults must exhaust recovery");
+    let abort = expect_abort(run_with(spec), "relentless faults must exhaust recovery");
     match abort.error {
         SecurityError::RecoveryExhausted {
             layer_id,
@@ -155,16 +182,10 @@ fn zero_recovery_policy_turns_any_fault_into_an_abort() {
         max_refetches: 0,
         max_reexecutions: 0,
     };
-    let abort = infer_resilient(
-        &net(),
-        &input(),
-        SHIFT,
-        DeviceSecret::from_seed(3),
-        12,
-        &policy,
-        Some(&mut injector),
-    )
-    .expect_err("no recovery budget, no recovery");
+    let abort = expect_abort(
+        run(12, policy, Some(&mut injector)),
+        "no recovery budget, no recovery",
+    );
     assert!(matches!(
         abort.error,
         SecurityError::RecoveryExhausted {
@@ -177,16 +198,7 @@ fn zero_recovery_policy_turns_any_fault_into_an_abort() {
 
 #[test]
 fn clean_resilient_run_matches_plain_and_protected_pipelines() {
-    let run = infer_resilient(
-        &net(),
-        &input(),
-        SHIFT,
-        DeviceSecret::from_seed(3),
-        13,
-        &RecoveryPolicy::default(),
-        None,
-    )
-    .expect("clean run verifies");
+    let run = run(13, RecoveryPolicy::default(), None).expect("clean run verifies");
     assert!(run.incidents.is_empty());
     assert!(run.max_layer_blocks > 0);
     assert_eq!(run.output, infer_plain(&net(), &input(), SHIFT));

@@ -1,11 +1,14 @@
 //! Property tests for the fault-injection harness: *any* single
-//! expressible fault against the resilient pipeline is detected, and a
+//! expressible fault against the journaled pipeline is detected, and a
 //! fault-free run never reports a violation (no false positives).
 
 use proptest::prelude::*;
 use seculator::compute::quant::{QTensor3, QTensor4};
-use seculator::core::secure_infer::{infer_plain, infer_resilient, QConvLayer, RecoveryPolicy};
-use seculator::core::{FaultInjector, FaultKind, FaultSpec, Persistence};
+use seculator::core::secure_infer::{
+    infer_journaled, infer_plain, Instruments, JournaledError, JournaledRun, QConvLayer,
+    RecoveryPolicy, SecureSession,
+};
+use seculator::core::{DurableState, FaultInjector, FaultKind, FaultSpec, PadTracker, Persistence};
 use seculator::crypto::DeviceSecret;
 
 const SHIFT: u32 = 6;
@@ -25,6 +28,32 @@ fn net() -> Vec<QConvLayer> {
 
 fn input() -> QTensor3 {
     QTensor3::seeded(2, 8, 8, 5)
+}
+
+/// One journaled run of [`net`] on a fresh journal, with no power-cut
+/// clock.
+fn run(
+    nonce: u64,
+    policy: RecoveryPolicy,
+    injector: Option<&mut FaultInjector>,
+) -> Result<JournaledRun, JournaledError> {
+    let session = SecureSession {
+        secret: DeviceSecret::from_seed(3),
+        nonce,
+        shift: SHIFT,
+        policy,
+    };
+    infer_journaled(
+        &net(),
+        &input(),
+        &session,
+        &mut DurableState::default(),
+        &mut Instruments {
+            tracker: &mut PadTracker::new(),
+            injector,
+            clock: None,
+        },
+    )
 }
 
 proptest! {
@@ -54,15 +83,7 @@ proptest! {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
         let mut injector = FaultInjector::new(seed, vec![spec]);
-        let result = infer_resilient(
-            &layers,
-            &input(),
-            SHIFT,
-            DeviceSecret::from_seed(3),
-            nonce,
-            &RecoveryPolicy::default(),
-            Some(&mut injector),
-        );
+        let result = run(nonce, RecoveryPolicy::default(), Some(&mut injector));
         prop_assert!(injector.injections() > 0, "fault must actually fire: {spec}");
         match result {
             Ok(run) => {
@@ -75,7 +96,7 @@ proptest! {
                     "released output differs from reference under {spec}"
                 );
             }
-            Err(abort) => {
+            Err(JournaledError::Aborted(abort)) => {
                 prop_assert!(abort.error.is_breach(), "{spec}: {}", abort.error);
                 prop_assert!(!abort.incidents.is_empty());
                 prop_assert!(
@@ -83,6 +104,7 @@ proptest! {
                     "only relentless faults may exhaust recovery, got {spec}"
                 );
             }
+            Err(other) => prop_assert!(false, "{spec}: neither recovered nor aborted: {other}"),
         }
     }
 
@@ -104,16 +126,7 @@ proptest! {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
         let mut injector = FaultInjector::new(seed, vec![spec]);
-        let run = infer_resilient(
-            &layers,
-            &input(),
-            SHIFT,
-            DeviceSecret::from_seed(3),
-            7,
-            &RecoveryPolicy::default(),
-            Some(&mut injector),
-        );
-        match run {
+        match run(7, RecoveryPolicy::default(), Some(&mut injector)) {
             Ok(run) => prop_assert!(run.output == reference, "{spec}"),
             Err(abort) => prop_assert!(false, "{spec} must be recoverable, aborted: {abort}"),
         }
@@ -130,16 +143,7 @@ proptest! {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
         let policy = RecoveryPolicy { max_refetches, max_reexecutions };
-        let run = infer_resilient(
-            &layers,
-            &input(),
-            SHIFT,
-            DeviceSecret::from_seed(3),
-            nonce,
-            &policy,
-            None,
-        );
-        match run {
+        match run(nonce, policy, None) {
             Ok(run) => {
                 prop_assert!(run.incidents.is_empty(), "false positive: {}", run.incidents.summary());
                 prop_assert!(run.output == reference);
