@@ -20,7 +20,7 @@
 //! mode CI uses), `--check` (exit 1 unless the parallel datapath beats
 //! the serial one on the MLP model), and `--metrics <path>` (write the
 //! telemetry snapshot — counters, histograms, and the per-layer
-//! security-overhead breakdown — as JSON). It writes
+//! stage-time breakdown — as JSON). It writes
 //! `BENCH_throughput.json` next to the working directory in addition to
 //! the console table.
 //!
@@ -1215,19 +1215,17 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
     write_or_die("BENCH_throughput.json", &json);
     println!("\nwrote BENCH_throughput.json");
 
-    // Per-layer security-overhead breakdown: one journaled inference per
-    // campaign model through the instrumented datapath, attributed by
-    // the telemetry stage spans. The throughput table above and
-    // BENCH_throughput.json are byte-identical whether or not the
-    // `telemetry` feature is compiled in; this section simply has
-    // nothing to report when the spans compile to no-ops.
-    let breakdown_cursor = telemetry::event_cursor();
+    // Per-layer stage times: one journaled inference per campaign model
+    // through the instrumented datapath, read from the run's own rows.
+    // The throughput table above and BENCH_throughput.json are
+    // byte-identical whether or not the `telemetry` feature is compiled
+    // in; this section simply has nothing to report when the stage
+    // timers compile to no-ops.
     let mut per_model: Vec<(&str, Vec<telemetry::LayerRow>)> = Vec::new();
     for m in campaign_models() {
-        let cursor = telemetry::event_cursor();
         let mut durable = DurableState::default();
         let mut tracker = PadTracker::new();
-        infer_journaled(
+        let run = infer_journaled(
             &m.layers,
             &m.input,
             &m.session,
@@ -1239,23 +1237,21 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             },
         )
         .expect("clean journaled inference verifies");
-        per_model.push((
-            m.name,
-            telemetry::layer_breakdown(&telemetry::events_since(cursor)),
-        ));
+        per_model.push((m.name, run.layer_rows));
     }
     if telemetry::enabled() {
-        println!("\nper-layer security overhead (journaled inference, parallel datapath):");
+        println!("\nper-layer stage times (journaled inference, parallel datapath):");
         println!(
-            "{:<12} {:>6} {:>10} {:>10} {:>12} {:>11}",
-            "model", "layer", "seal µs", "open µs", "mac fold µs", "journal µs"
+            "{:<12} {:>6} {:>11} {:>10} {:>10} {:>12} {:>11}",
+            "model", "layer", "compute µs", "seal µs", "open µs", "mac fold µs", "journal µs"
         );
         for (name, rows) in &per_model {
             for r in rows {
                 println!(
-                    "{:<12} {:>6} {:>10.1} {:>10.1} {:>12.1} {:>11.1}",
+                    "{:<12} {:>6} {:>11.1} {:>10.1} {:>10.1} {:>12.1} {:>11.1}",
                     name,
                     r.layer,
+                    r.compute_ns as f64 / 1e3,
                     r.seal_ns as f64 / 1e3,
                     r.open_ns as f64 / 1e3,
                     r.mac_fold_ns as f64 / 1e3,
@@ -1268,7 +1264,7 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
         let mut snap = telemetry::snapshot();
         // Aggregated across models: same layer index sums together, which
         // keeps the snapshot schema flat and stable.
-        snap.layers = telemetry::layer_breakdown(&telemetry::events_since(breakdown_cursor));
+        snap.layers = telemetry::sum_by_layer(per_model.iter().flat_map(|(_, rows)| rows));
         write_or_die(path, &snap.to_json());
         println!("wrote {path}");
     }

@@ -78,6 +78,6 @@ pub use session::{
     SessionOutcome, SessionVerdict,
 };
 pub use storage::{table7_rows, StorageFootprint};
-pub use telemetry::{layer_breakdown, Snapshot as TelemetrySnapshot, SpanEvent};
+pub use telemetry::Snapshot as TelemetrySnapshot;
 pub use vngen::{FirstReadDetector, PatternCounter, VnGenerator};
 pub use widening::{intersperse_dummy, widen_layer, widen_network};

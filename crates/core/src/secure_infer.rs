@@ -20,7 +20,7 @@ use crate::mac_verify::{EagerLayerVerifier, LayerMacVerifier};
 use crate::secure_memory::{
     Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram,
 };
-use crate::telemetry;
+use crate::telemetry::{self, LayerRow};
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
 
@@ -467,6 +467,9 @@ pub struct JournaledRun {
     pub first_executed_layer: u32,
     /// Layer-commit records this run appended.
     pub commits: u32,
+    /// Stage times of every layer step this run executed, one row per
+    /// step in execution order (all zero when telemetry is off).
+    pub layer_rows: Vec<LayerRow>,
 }
 
 /// Why a journaled inference did not return an output.
@@ -527,6 +530,7 @@ pub(crate) struct JournaledCursor {
     incidents: IncidentLog,
     commits: u32,
     max_layer_blocks: u64,
+    layer_rows: Vec<LayerRow>,
 }
 
 impl JournaledCursor {
@@ -557,6 +561,7 @@ impl JournaledCursor {
             incidents,
             commits: 0,
             max_layer_blocks: 0,
+            layer_rows: Vec::new(),
         }
     }
 
@@ -580,6 +585,11 @@ impl JournaledCursor {
         self.next_layer
     }
 
+    /// Stage-time rows of the steps taken so far, one per step.
+    pub(crate) fn layer_rows(&self) -> &[LayerRow] {
+        &self.layer_rows
+    }
+
     /// Moves the accumulated incident log out of a cursor that is about
     /// to be dropped (scheduler retry after a power cut): the records
     /// already went through the telemetry funnel once, so the caller
@@ -597,6 +607,7 @@ impl JournaledCursor {
             epoch: self.epoch,
             first_executed_layer: self.first_layer,
             commits: self.commits,
+            layer_rows: self.layer_rows,
         }
     }
 }
@@ -666,6 +677,11 @@ pub(crate) fn open_journaled_cursor(
 /// commit point after which a crash costs at most the *next* layer's
 /// work. On success the cursor advances to the next layer; on abort the
 /// incident log travels out inside the report and the cursor is spent.
+///
+/// Every call that executes a layer pushes one [`LayerRow`] onto the
+/// cursor and times its compute, seal, open, MAC-fold and journal stages
+/// into it — including the work of failed attempts and of a step that
+/// ends in an error.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_journaled_layer(
     layers: &[QConvLayer],
@@ -684,6 +700,11 @@ pub(crate) fn step_journaled_layer(
     } else {
         (&groups[..], &[][..])
     };
+    cursor.layer_rows.push(LayerRow {
+        layer: u64::from(li),
+        ..LayerRow::default()
+    });
+    let row = cursor.layer_rows.last_mut().expect("row pushed above");
 
     let mut layer_refetches = 0u32;
     let mut attempt = 0u32;
@@ -698,7 +719,10 @@ pub(crate) fn step_journaled_layer(
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let partial = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head);
+        let partial = {
+            let _stage = telemetry::stage_span(&mut row.compute_ns);
+            qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head)
+        };
         let (k, h, w) = (partial.k, partial.h, partial.w);
         let pblocks = accum_to_blocks(&partial);
         let nblocks = pblocks.len() as u64;
@@ -709,11 +733,11 @@ pub(crate) fn step_journaled_layer(
         // run in the original block order, so a power cut or reuse
         // stop leaves exactly the state the serial loop would have.
         let pcoords = tile_coords(li, li, v_part, pblocks.len());
-        // Stage spans attribute wall time to this layer in the
-        // telemetry event ring — the substrate of the per-layer
-        // breakdown in `figures throughput` and `--metrics` dumps.
+        // Stage spans time each stage into this step's row — the
+        // per-layer rows of `figures throughput` and `seculator stats`,
+        // and the per-session rows of the campaigns' `--metrics`.
         let sealed = {
-            let _stage = telemetry::stage_span("seal", u64::from(li));
+            let _stage = telemetry::stage_span(&mut row.seal_ns);
             cursor.datapath.seal_blocks(&pcoords, &pblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
@@ -761,12 +785,12 @@ pub(crate) fn step_journaled_layer(
             ));
         }
         let opened = {
-            let _stage = telemetry::stage_span("open", u64::from(li));
+            let _stage = telemetry::stage_span(&mut row.open_ns);
             cursor.datapath.open_blocks(&pcoords, &part_ct)
         };
         let mut part_rd = Vec::with_capacity(pblocks.len());
         {
-            let _stage = telemetry::stage_span("mac_fold", u64::from(li));
+            let _stage = telemetry::stage_span(&mut row.mac_fold_ns);
             let _span = telemetry::span(telemetry::Hist::MacFoldNs);
             for (pt, mac) in opened {
                 lv.on_read(&mac);
@@ -778,20 +802,24 @@ pub(crate) fn step_journaled_layer(
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let mut full = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
-        for kk in 0..k {
-            for y in 0..h {
-                for x in 0..w {
-                    *full.at_mut(kk, y, x) =
-                        full.get(kk, y, x).wrapping_add(partial_back.get(kk, y, x));
+        let full = {
+            let _stage = telemetry::stage_span(&mut row.compute_ns);
+            let mut full = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
+            for kk in 0..k {
+                for y in 0..h {
+                    for x in 0..w {
+                        *full.at_mut(kk, y, x) =
+                            full.get(kk, y, x).wrapping_add(partial_back.get(kk, y, x));
+                    }
                 }
             }
-        }
+            full
+        };
 
         let fblocks = accum_to_blocks(&full);
         let fcoords = tile_coords(li, li, v_full, fblocks.len());
         let sealed = {
-            let _stage = telemetry::stage_span("seal", u64::from(li));
+            let _stage = telemetry::stage_span(&mut row.seal_ns);
             cursor.datapath.seal_blocks(&fcoords, &fblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
@@ -853,12 +881,12 @@ pub(crate) fn step_journaled_layer(
                 ));
             }
             let opened = {
-                let _stage = telemetry::stage_span("open", u64::from(li));
+                let _stage = telemetry::stage_span(&mut row.open_ns);
                 cursor.datapath.open_blocks(&fcoords, &cts)
             };
             let mut rd = Vec::with_capacity(fblocks.len());
             {
-                let _stage = telemetry::stage_span("mac_fold", u64::from(li));
+                let _stage = telemetry::stage_span(&mut row.mac_fold_ns);
                 let _span = telemetry::span(telemetry::Hist::MacFoldNs);
                 for (pt, mac) in opened {
                     lv.on_first_read(&mac);
@@ -914,7 +942,7 @@ pub(crate) fn step_journaled_layer(
                     vn_emitted: nblocks.max(1) * u64::from(v_full),
                 };
                 {
-                    let _stage = telemetry::stage_span("journal", u64::from(li));
+                    let _stage = telemetry::stage_span(&mut row.journal_ns);
                     durable
                         .journal
                         .append(
@@ -1204,6 +1232,22 @@ mod tests {
         QTensor3::seeded(3, 12, 12, 9)
     }
 
+    /// A clean run's stage-time rows: one per executed layer, with ids
+    /// `layers` in order, and all zero when telemetry is compiled out.
+    fn assert_rows_cover(run: &JournaledRun, layers: std::ops::Range<u32>) {
+        let ids: Vec<u64> = run.layer_rows.iter().map(|r| r.layer).collect();
+        assert_eq!(ids, layers.map(u64::from).collect::<Vec<_>>());
+        if !telemetry::enabled() {
+            for r in &run.layer_rows {
+                let zero = LayerRow {
+                    layer: r.layer,
+                    ..LayerRow::default()
+                };
+                assert_eq!(*r, zero, "no stage is timed with telemetry off");
+            }
+        }
+    }
+
     #[test]
     fn protected_inference_is_bit_identical_to_plain() {
         let layers = network();
@@ -1290,6 +1334,7 @@ mod tests {
         let session = test_session();
         let mut durable = crate::journal::DurableState::default();
         let mut tracker = PadTracker::new();
+        let start = std::time::Instant::now();
         let run = infer_journaled(
             &layers,
             &input(),
@@ -1302,8 +1347,21 @@ mod tests {
             },
         )
         .unwrap();
+        let wall_ns = start.elapsed().as_nanos();
         assert_eq!(run.output, infer_plain(&layers, &input(), 6));
         assert_eq!(run.commits, layers.len() as u32);
+        assert_rows_cover(&run, 0..layers.len() as u32);
+        // The stage timers run one after another inside the call, so
+        // together they can never exceed its wall time.
+        let stage_ns: u64 = run
+            .layer_rows
+            .iter()
+            .map(|r| r.compute_ns + r.seal_ns + r.open_ns + r.mac_fold_ns + r.journal_ns)
+            .sum();
+        assert!(
+            u128::from(stage_ns) <= wall_ns,
+            "stages {stage_ns} ns > wall {wall_ns} ns"
+        );
         assert_eq!(run.epoch, 0, "a fresh journal starts at epoch 0");
         assert!(run.incidents.is_empty(), "clean run, clean audit");
         let replayed = durable
@@ -1376,6 +1434,7 @@ mod tests {
             resumed.first_executed_layer, loss.layer,
             "at most the interrupted layer is re-executed"
         );
+        assert_rows_cover(&resumed, resumed.first_executed_layer..layers.len() as u32);
         assert_eq!(
             resumed.incidents.resumes(),
             1,

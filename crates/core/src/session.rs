@@ -211,6 +211,8 @@ struct Tenant {
     last_progress_round: u64,
     /// The deadline budget was exceeded at least once.
     deadline_missed: bool,
+    /// Sum of the stage-time rows of every layer step this tenant took
+    /// (`layer` holds the tenant id).
     row: LayerRow,
     /// Wall-clock instant the arrival trace released this tenant (start
     /// of its scheduler-queue wait).
@@ -407,9 +409,10 @@ pub struct ServeReport {
     pub sessions_quarantined: u64,
     /// Admission slots shed under sustained fault pressure.
     pub inflight_shed: u64,
-    /// Per-session stage-time rows — [`LayerRow`] reused with the
-    /// `layer` field carrying the *tenant id* (seal/open/mac_fold/
-    /// journal nanoseconds attributed per session). Empty when the
+    /// Per-session stage-time rows, one per tenant in admission order —
+    /// [`LayerRow`] reused with the `layer` field carrying the *tenant
+    /// id*. Each is the exact sum of the rows of every layer step the
+    /// tenant took, failed attempts included; all zero when the
     /// `telemetry` feature is off.
     pub session_rows: Vec<LayerRow>,
     /// Exact wall nanoseconds of pre-step scheduler bookkeeping summed
@@ -448,9 +451,6 @@ pub struct SessionManager {
     pressure: u32,
     /// Clean rounds accumulated toward the next restore.
     clean_rounds: u64,
-    /// Telemetry-event cursor at construction: report-time stage
-    /// attribution scans tenant-tagged events from here.
-    events_from: u64,
     /// Manager-lifetime pad ledger for the incremental drive mode:
     /// [`Self::harvest_terminal`] absorbs every harvested session's pads
     /// here, so the zero-collision oracle spans every request a
@@ -503,7 +503,6 @@ impl SessionManager {
             effective_inflight: max_inflight.max(1),
             pressure: 0,
             clean_rounds: 0,
-            events_from: telemetry::event_cursor(),
             lifetime_ledger: PadLedger::new(),
             scheduler_ns: 0,
         }
@@ -650,7 +649,6 @@ impl SessionManager {
         // with the session count, so the serve sweep reports it
         // separately instead of folding it into service latency.
         let sched_start = Instant::now();
-        let sched_span = telemetry::stage_span("scheduler", round);
 
         // Arrivals: the trace releases tenants into the admission queue
         // (the queue-delay clock starts here).
@@ -688,7 +686,6 @@ impl SessionManager {
             }
         }
 
-        drop(sched_span);
         self.scheduler_ns = self
             .scheduler_ns
             .saturating_add(u64::try_from(sched_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -761,7 +758,6 @@ impl SessionManager {
             return;
         }
         Self::arm_next_cut(t);
-        let _scope = telemetry::tenant_scope(u64::from(t.id));
         let result = {
             let mut instruments = Instruments {
                 tracker: &mut t.tracker,
@@ -838,7 +834,6 @@ impl SessionManager {
         });
         t.last_progress_round = round;
         Self::arm_next_cut(t);
-        let _scope = telemetry::tenant_scope(u64::from(t.id));
         let result = if t.home.is_some() {
             Self::open_home_cursor(t)
         } else {
@@ -948,10 +943,9 @@ impl SessionManager {
         .map_err(|e| home_error(id, e))
     }
 
-    /// Grants one layer step to a running tenant; the step runs under
-    /// the tenant's telemetry scope so every span it emits carries the
-    /// tenant tag — attribution that survives concurrent interleaving,
-    /// unlike the seq-window scheme this replaced.
+    /// Grants one layer step to a running tenant and adds the step's
+    /// stage-time row into the tenant's row, whether the step succeeded
+    /// or failed.
     fn step_tenant(
         t: &mut Tenant,
         policy: &RobustnessPolicy,
@@ -966,7 +960,7 @@ impl SessionManager {
                 return;
             }
         };
-        let _scope = telemetry::tenant_scope(u64::from(t.id));
+        let rows_before = cursor.layer_rows().len();
         let result = {
             let mut instruments = Instruments {
                 tracker: &mut t.tracker,
@@ -981,6 +975,9 @@ impl SessionManager {
                 &mut instruments,
             )
         };
+        for r in &cursor.layer_rows()[rows_before..] {
+            t.row.add_stages(r);
+        }
         t.rounds_serviced += 1;
         match result {
             Ok(()) => {
@@ -1142,54 +1139,12 @@ impl SessionManager {
         t.state = TenantState::Aborted(Box::new(error));
     }
 
-    /// Folds tenant-tagged stage spans into their owning tenants' rows
-    /// with a *single* ring scan. Every span a tenant's work emits is
-    /// stamped with the tenant id at emission time
-    /// ([`telemetry::tenant_scope`]), so attribution is a tag filter
-    /// that survives arbitrary interleaving in the process-wide ring.
-    /// Caveat: the ring keeps the most recent 4096 events, so runs that
-    /// overflow it lose the oldest spans (attribution is best-effort
-    /// observability, never an oracle).
-    fn attribute_stage_spans(&mut self) {
-        if !telemetry::enabled() {
-            return;
-        }
-        for e in telemetry::events_since(self.events_from) {
-            if e.tenant == telemetry::NO_TENANT {
-                continue;
-            }
-            let Some(t) = self
-                .tenants
-                .iter_mut()
-                .find(|t| u64::from(t.id) == e.tenant)
-            else {
-                continue;
-            };
-            match e.stage {
-                "seal" => t.row.seal_ns += e.ns,
-                "open" => t.row.open_ns += e.ns,
-                "mac_fold" => t.row.mac_fold_ns += e.ns,
-                "journal" => t.row.journal_ns += e.ns,
-                _ => {}
-            }
-        }
-        self.events_from = telemetry::event_cursor();
-    }
-
     /// Collapses one drained tenant into its outcome, folding its
-    /// incident records, stage-time row, and max-blocks watermark into
-    /// the caller's accumulators. Shared by the batch [`Self::report`]
-    /// and the incremental [`Self::harvest_terminal`], so the two drive
-    /// modes can never disagree on verdict conversion.
-    fn collapse(
-        t: Tenant,
-        incidents: &mut IncidentLog,
-        max_blocks: &mut u64,
-        session_rows: &mut Vec<LayerRow>,
-    ) -> SessionOutcome {
-        if telemetry::enabled() {
-            session_rows.push(t.row.clone());
-        }
+    /// incident records and max-blocks watermark into the caller's
+    /// accumulators. Shared by the batch [`Self::report`] and the
+    /// incremental [`Self::harvest_terminal`], so the two drive modes can
+    /// never disagree on verdict conversion.
+    fn collapse(t: Tenant, incidents: &mut IncidentLog, max_blocks: &mut u64) -> SessionOutcome {
         // Cross-attempt salvage first (failed attempts + the
         // quarantine seal), then the terminal attempt's records.
         // Merge without re-counting: every record already went
@@ -1241,20 +1196,15 @@ impl SessionManager {
     /// Collapses terminal tenants into the report: outcomes, merged
     /// incidents, per-session rows, and the cross-session pad ledger.
     fn report(&mut self) -> ServeReport {
-        self.attribute_stage_spans();
         let mut ledger = PadLedger::new();
         let mut incidents = IncidentLog::new();
         let mut max_blocks = 0u64;
         let mut outcomes = Vec::with_capacity(self.tenants.len());
-        let mut session_rows = Vec::new();
+        let mut session_rows = Vec::with_capacity(self.tenants.len());
         for t in self.tenants.drain(..) {
             ledger.absorb(&t.session, &t.tracker);
-            outcomes.push(Self::collapse(
-                t,
-                &mut incidents,
-                &mut max_blocks,
-                &mut session_rows,
-            ));
+            session_rows.push(t.row);
+            outcomes.push(Self::collapse(t, &mut incidents, &mut max_blocks));
         }
         ServeReport {
             rounds: self.round,
@@ -1373,22 +1323,15 @@ impl SessionManager {
     /// are absorbed into the manager-lifetime ledger behind
     /// [`Self::pads_issued`] / [`Self::pad_collisions`].
     pub fn harvest_terminal(&mut self) -> Vec<SessionOutcome> {
-        self.attribute_stage_spans();
         let mut out = Vec::new();
         let mut incidents = IncidentLog::new();
         let mut max_blocks = 0u64;
-        let mut session_rows = Vec::new();
         let mut i = 0;
         while i < self.tenants.len() {
             if self.tenants[i].is_terminal() {
                 let t = self.tenants.remove(i);
                 self.lifetime_ledger.absorb(&t.session, &t.tracker);
-                out.push(Self::collapse(
-                    t,
-                    &mut incidents,
-                    &mut max_blocks,
-                    &mut session_rows,
-                ));
+                out.push(Self::collapse(t, &mut incidents, &mut max_blocks));
             } else {
                 i += 1;
             }
@@ -2708,62 +2651,5 @@ mod tests {
         // same derived key, so each one is a collision.
         ledger.absorb(&sessions[0], &trackers[0]);
         assert_eq!((ledger.pads(), ledger.collisions()), (4 * 32, 32));
-    }
-
-    #[test]
-    #[cfg(feature = "telemetry")]
-    fn tenant_tags_attribute_interleaved_spans_where_seq_windows_cannot() {
-        // Two concurrent "tenant steps" whose spans interleave in the
-        // global event ring — what two managers stepping on different
-        // threads produce. The old seq-window scheme counts tenant B's span
-        // inside tenant A's window (A's step closed after B emitted);
-        // the tenant tag splits them correctly.
-        use std::sync::mpsc;
-        let key = 0xFACE_u64;
-        let (to_b, from_a) = mpsc::channel::<()>();
-        let (to_a, from_b) = mpsc::channel::<()>();
-        let w0 = telemetry::event_cursor();
-        let (wa, wb) = std::thread::scope(|s| {
-            let a = s.spawn(move || {
-                let _sc = telemetry::tenant_scope(0xAB01);
-                let start = telemetry::event_cursor();
-                drop(telemetry::stage_span("seal", key));
-                to_b.send(()).unwrap();
-                from_b.recv().unwrap();
-                // A's step window closes only now — after B interleaved.
-                (start, telemetry::event_cursor())
-            });
-            let b = s.spawn(move || {
-                from_a.recv().unwrap();
-                let _sc = telemetry::tenant_scope(0xAB02);
-                let start = telemetry::event_cursor();
-                drop(telemetry::stage_span("seal", key));
-                let end = telemetry::event_cursor();
-                to_a.send(()).unwrap();
-                (start, end)
-            });
-            (a.join().unwrap(), b.join().unwrap())
-        });
-        let events: Vec<telemetry::SpanEvent> = telemetry::events_since(w0)
-            .into_iter()
-            .filter(|e| e.stage == "seal" && e.key == key)
-            .collect();
-        assert_eq!(events.len(), 2, "{events:?}");
-        // Old scheme, reconstructed: per-tenant [start, end) seq
-        // windows double-count the interleaved span.
-        let in_window = |w: (u64, u64)| {
-            events
-                .iter()
-                .filter(|e| e.seq >= w.0 && e.seq < w.1)
-                .count()
-        };
-        assert_eq!(
-            in_window(wa) + in_window(wb),
-            3,
-            "seq windows must demonstrably over-attribute here (wa={wa:?} wb={wb:?})"
-        );
-        // Tag filter: exactly one span per tenant, however interleaved.
-        assert_eq!(events.iter().filter(|e| e.tenant == 0xAB01).count(), 1);
-        assert_eq!(events.iter().filter(|e| e.tenant == 0xAB02).count(), 1);
     }
 }

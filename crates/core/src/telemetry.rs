@@ -1,22 +1,23 @@
 //! Secure-datapath telemetry: a zero-dependency, thread-safe metrics
-//! registry plus lightweight span tracing.
+//! registry plus per-step stage timers.
 //!
 //! The paper's headline claim — Seculator's security machinery is nearly
 //! free — needs per-stage visibility to be demonstrable: where do
-//! seal/open, MAC folding, journal appends, and recovery time actually
-//! go? This module is the durable measurement substrate behind the
-//! `seculator stats` subcommand, the global `--metrics <path>` flag, and
-//! the per-layer breakdown in `figures throughput`.
+//! compute, seal/open, MAC folding, journal appends, and recovery time
+//! actually go? This module is the durable measurement substrate behind
+//! the `seculator stats` subcommand, the global `--metrics <path>` flag,
+//! and the per-layer breakdown in `figures throughput`.
 //!
-//! Three primitives, all process-global and lock-free on the hot path:
+//! Two primitives, both process-global and lock-free on the hot path:
 //!
 //! - **Counters** ([`Counter`]): monotonic `AtomicU64`s with relaxed
 //!   ordering, one per instrumentation point.
 //! - **Histograms** ([`Hist`]): fixed log-2 bucket arrays recording
 //!   nanosecond durations (plus count and sum), fed by [`span`] guards.
-//! - **Span events**: a bounded ring buffer of `(stage, key, ns)`
-//!   records from [`stage_span`], used for per-layer attribution without
-//!   unbounded memory growth.
+//!
+//! Per-layer stage times are not global: each journaled layer step owns
+//! one [`LayerRow`] and times its stages into it with [`stage_span`]
+//! guards, so every row is exact and nothing is shared between steps.
 //!
 //! # Feature gate
 //!
@@ -35,7 +36,6 @@
 //! deltas (monotonicity), not absolute values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 #[cfg(feature = "telemetry")]
 use std::time::Instant;
 
@@ -271,9 +271,6 @@ pub const HIST_BUCKETS: usize = 32;
 
 const NUM_COUNTERS: usize = Counter::ALL.len();
 const NUM_HISTS: usize = Hist::ALL.len();
-/// Capacity of the span-event ring buffer.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-const EVENT_CAPACITY: usize = 4096;
 
 struct HistCells {
     count: AtomicU64,
@@ -281,84 +278,9 @@ struct HistCells {
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
-/// One record from the span-event ring buffer: `stage` (a static label
-/// such as `"seal"`) attributed to `key` (a layer id) took `ns`
-/// nanoseconds. `seq` increases by one per event, forever, so readers
-/// can detect ring overwrites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Monotonic sequence number (never wraps in practice).
-    pub seq: u64,
-    /// Static stage label (`"seal"`, `"open"`, `"mac_fold"`, `"journal"`).
-    pub stage: &'static str,
-    /// Attribution key — by convention the layer id.
-    pub key: u64,
-    /// Elapsed wall time in nanoseconds.
-    pub ns: u64,
-    /// Tenant the emitting thread was serving ([`NO_TENANT`] outside any
-    /// [`tenant_scope`]). Tags are what make attribution correct under
-    /// the concurrent scheduler: with tenants stepping in parallel,
-    /// `seq` windows interleave and can no longer identify an owner.
-    pub tenant: u64,
-}
-
-/// The tenant tag of events emitted outside any [`tenant_scope`]
-/// (single-session drivers, benchmarks, reference runs).
-pub const NO_TENANT: u64 = u64::MAX;
-
-#[cfg(feature = "telemetry")]
-thread_local! {
-    static CURRENT_TENANT: std::cell::Cell<u64> = const { std::cell::Cell::new(NO_TENANT) };
-}
-
-/// RAII guard from [`tenant_scope`]: restores the thread's previous
-/// tenant tag on drop, so scopes nest correctly.
-#[derive(Debug)]
-pub struct TenantScope {
-    #[cfg(feature = "telemetry")]
-    prev: u64,
-}
-
-impl Drop for TenantScope {
-    fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        CURRENT_TENANT.with(|c| c.set(self.prev));
-    }
-}
-
-/// Tags every [`SpanEvent`] this thread emits until the guard drops with
-/// `tenant`. The tag is thread-local, so steps on different threads each
-/// carry their own tenant, and attribution stays exact however their
-/// spans interleave in the ring.
-#[must_use]
-pub fn tenant_scope(tenant: u64) -> TenantScope {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = tenant;
-    TenantScope {
-        #[cfg(feature = "telemetry")]
-        prev: CURRENT_TENANT.with(|c| c.replace(tenant)),
-    }
-}
-
-/// The tenant tag the current thread would stamp on an event right now.
-#[must_use]
-pub fn current_tenant() -> u64 {
-    #[cfg(feature = "telemetry")]
-    return CURRENT_TENANT.with(std::cell::Cell::get);
-    #[cfg(not(feature = "telemetry"))]
-    NO_TENANT
-}
-
-struct EventRing {
-    next_seq: u64,
-    buf: Vec<SpanEvent>,
-    head: usize,
-}
-
 struct Registry {
     counters: [AtomicU64; NUM_COUNTERS],
     hists: [HistCells; NUM_HISTS],
-    events: Mutex<EventRing>,
 }
 
 static REGISTRY: Registry = Registry {
@@ -370,11 +292,6 @@ static REGISTRY: Registry = Registry {
             buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
         }
     }; NUM_HISTS],
-    events: Mutex::new(EventRing {
-        next_seq: 0,
-        buf: Vec::new(),
-        head: 0,
-    }),
 };
 
 /// Whether this build records telemetry (the `telemetry` cargo feature).
@@ -458,113 +375,36 @@ pub fn span(h: Hist) -> Span {
     }
 }
 
-/// A tracing span: like [`Span`] but pushes a [`SpanEvent`] into the
-/// ring buffer on drop (it does *not* feed a histogram — stage spans
-/// attribute time to a key, histograms aggregate it).
+/// A stage timer: like [`Span`], but on drop it adds its elapsed wall
+/// time to the `u64` it borrows — one stage field of a [`LayerRow`] —
+/// instead of feeding a histogram. When telemetry is disabled no clock
+/// is read and the field is left untouched.
 #[derive(Debug)]
-pub struct StageSpan {
+pub struct StageSpan<'a> {
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    ns: &'a mut u64,
     #[cfg(feature = "telemetry")]
     start: Instant,
-    #[cfg(feature = "telemetry")]
-    stage: &'static str,
-    #[cfg(feature = "telemetry")]
-    key: u64,
 }
 
-impl Drop for StageSpan {
+impl Drop for StageSpan<'_> {
     fn drop(&mut self) {
         #[cfg(feature = "telemetry")]
         {
             let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            push_event(self.stage, self.key, ns);
+            *self.ns = self.ns.saturating_add(ns);
         }
     }
 }
 
-/// Starts a tracing span labelled `stage`, attributed to `key`.
+/// Starts a stage timer that adds its elapsed nanoseconds to `ns` on
+/// drop.
 #[must_use]
-pub fn stage_span(stage: &'static str, key: u64) -> StageSpan {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (stage, key);
+pub fn stage_span(ns: &mut u64) -> StageSpan<'_> {
     StageSpan {
+        ns,
         #[cfg(feature = "telemetry")]
         start: Instant::now(),
-        #[cfg(feature = "telemetry")]
-        stage,
-        #[cfg(feature = "telemetry")]
-        key,
-    }
-}
-
-#[cfg(feature = "telemetry")]
-fn push_event(stage: &'static str, key: u64, ns: u64) {
-    // A poisoned mutex means another thread panicked mid-push; telemetry
-    // must never turn that into a second panic, so drop the event.
-    let Ok(mut ring) = REGISTRY.events.lock() else {
-        return;
-    };
-    let event = SpanEvent {
-        seq: ring.next_seq,
-        stage,
-        key,
-        ns,
-        tenant: current_tenant(),
-    };
-    ring.next_seq += 1;
-    if ring.buf.len() < EVENT_CAPACITY {
-        ring.buf.push(event);
-    } else {
-        let head = ring.head;
-        ring.buf[head] = event;
-        ring.head = (head + 1) % EVENT_CAPACITY;
-    }
-}
-
-/// Returns all buffered events with `seq >= since`, oldest first. The
-/// ring holds the most recent 4096 events (`EVENT_CAPACITY`); anything older
-/// has been overwritten (detectable from gaps in `seq`).
-#[must_use]
-pub fn events_since(since: u64) -> Vec<SpanEvent> {
-    let Ok(ring) = REGISTRY.events.lock() else {
-        return Vec::new();
-    };
-    let mut out: Vec<SpanEvent> = ring
-        .buf
-        .iter()
-        .filter(|e| e.seq >= since)
-        .copied()
-        .collect();
-    out.sort_by_key(|e| e.seq);
-    out
-}
-
-/// Sequence number the *next* event will get — pass to [`events_since`]
-/// to scope a measurement window.
-#[must_use]
-pub fn event_cursor() -> u64 {
-    REGISTRY.events.lock().map(|r| r.next_seq).unwrap_or(0)
-}
-
-/// Zeroes every counter and histogram and clears the event ring.
-///
-/// Intended for sequential measurement harnesses (`figures throughput`
-/// per-layer windows); racing this against live recording yields torn
-/// (but memory-safe) snapshots, so don't call it from concurrent tests.
-pub fn reset() {
-    for c in &REGISTRY.counters {
-        c.store(0, Ordering::Relaxed);
-    }
-    for h in &REGISTRY.hists {
-        h.count.store(0, Ordering::Relaxed);
-        h.sum.store(0, Ordering::Relaxed);
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-    if let Ok(mut ring) = REGISTRY.events.lock() {
-        ring.buf.clear();
-        ring.head = 0;
-        ring.next_seq = 0;
     }
 }
 
@@ -581,11 +421,17 @@ pub struct HistSnapshot {
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-/// One per-layer security-overhead row, aggregated from span events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The stage times of one layer step — or, summed, of one layer or one
+/// tenant session. Every field is exact: it is written only by the
+/// [`stage_span`] guards of the steps it covers. All zero when
+/// telemetry is off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayerRow {
-    /// Layer id the time is attributed to.
+    /// Layer id the time is attributed to (a tenant id in session rows).
     pub layer: u64,
+    /// Nanoseconds computing this layer's convolutions (both channel
+    /// groups) and adding the partial sums.
+    pub compute_ns: u64,
     /// Nanoseconds sealing (encrypt + per-block MAC) this layer's output.
     pub seal_ns: u64,
     /// Nanoseconds opening (decrypt + verify) this layer's reads.
@@ -596,36 +442,34 @@ pub struct LayerRow {
     pub journal_ns: u64,
 }
 
-/// Aggregates span events into per-layer rows (sorted by layer id).
-/// Unknown stage labels are ignored so the schema stays forward-open.
-#[must_use]
-pub fn layer_breakdown(events: &[SpanEvent]) -> Vec<LayerRow> {
-    let mut rows: Vec<LayerRow> = Vec::new();
-    for e in events {
-        let row = match rows.iter_mut().find(|r| r.layer == e.key) {
-            Some(r) => r,
-            None => {
-                rows.push(LayerRow {
-                    layer: e.key,
-                    ..LayerRow::default()
-                });
-                rows.last_mut().expect("just pushed")
-            }
-        };
-        match e.stage {
-            "seal" => row.seal_ns += e.ns,
-            "open" => row.open_ns += e.ns,
-            "mac_fold" => row.mac_fold_ns += e.ns,
-            "journal" => row.journal_ns += e.ns,
-            _ => {}
-        }
+impl LayerRow {
+    /// Adds `other`'s stage times into this row; `layer` is kept.
+    pub fn add_stages(&mut self, other: &LayerRow) {
+        self.compute_ns += other.compute_ns;
+        self.seal_ns += other.seal_ns;
+        self.open_ns += other.open_ns;
+        self.mac_fold_ns += other.mac_fold_ns;
+        self.journal_ns += other.journal_ns;
     }
-    rows.sort_by_key(|r| r.layer);
-    rows
 }
 
-/// A point-in-time copy of the whole registry, plus optional per-layer
-/// attribution rows. Serializes to the stable
+/// Sums the rows that share a layer id into one row per layer, sorted by
+/// layer id — e.g. the rows of several models' runs.
+#[must_use]
+pub fn sum_by_layer<'a>(rows: impl IntoIterator<Item = &'a LayerRow>) -> Vec<LayerRow> {
+    let mut out: Vec<LayerRow> = Vec::new();
+    for r in rows {
+        match out.iter_mut().find(|o| o.layer == r.layer) {
+            Some(o) => o.add_stages(r),
+            None => out.push(*r),
+        }
+    }
+    out.sort_by_key(|r| r.layer);
+    out
+}
+
+/// A point-in-time copy of the whole registry, plus optional stage-time
+/// rows. Serializes to the stable
 /// `seculator-telemetry-v1` JSON schema and to Prometheus text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
@@ -637,13 +481,13 @@ pub struct Snapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Every histogram, in [`Hist::ALL`] order.
     pub histograms: Vec<HistSnapshot>,
-    /// Per-layer overhead rows (empty unless the caller aggregated a
-    /// measurement window via [`layer_breakdown`]).
+    /// Per-layer (or per-session) stage-time rows; empty unless the
+    /// caller fills them from the runs it measured.
     pub layers: Vec<LayerRow>,
 }
 
 /// Captures the current registry state. `layers` is left empty; callers
-/// with a measurement window fill it from [`layer_breakdown`].
+/// fill it from the [`LayerRow`]s of the runs they measured.
 #[must_use]
 pub fn snapshot() -> Snapshot {
     Snapshot {
@@ -706,9 +550,9 @@ impl Snapshot {
             .iter()
             .map(|r| {
                 format!(
-                    "    {{\"layer\": {}, \"seal_ns\": {}, \"open_ns\": {}, \
-                     \"mac_fold_ns\": {}, \"journal_ns\": {}}}",
-                    r.layer, r.seal_ns, r.open_ns, r.mac_fold_ns, r.journal_ns
+                    "    {{\"layer\": {}, \"compute_ns\": {}, \"seal_ns\": {}, \
+                     \"open_ns\": {}, \"mac_fold_ns\": {}, \"journal_ns\": {}}}",
+                    r.layer, r.compute_ns, r.seal_ns, r.open_ns, r.mac_fold_ns, r.journal_ns
                 )
             })
             .collect::<Vec<_>>()
@@ -792,6 +636,7 @@ mod tests {
             }],
             layers: vec![LayerRow {
                 layer: 0,
+                compute_ns: 150,
                 seal_ns: 120,
                 open_ns: 80,
                 mac_fold_ns: 40,
@@ -802,8 +647,8 @@ mod tests {
 \"threads\": 2,\n  \"counters\": {\n    \"seal_batches\": 3,\n    \"seal_blocks\": 192\n  },\n  \
 \"histograms\": {\n    \"seal_ns\": {\"count\": 2, \"sum_ns\": 300, \"buckets\": \
 [0,0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n  },\n  \
-\"layers\": [\n    {\"layer\": 0, \"seal_ns\": 120, \"open_ns\": 80, \"mac_fold_ns\": 40, \
-\"journal_ns\": 60}\n  ]\n}\n";
+\"layers\": [\n    {\"layer\": 0, \"compute_ns\": 150, \"seal_ns\": 120, \"open_ns\": 80, \
+\"mac_fold_ns\": 40, \"journal_ns\": 60}\n  ]\n}\n";
         assert_eq!(snap.to_json(), expected);
     }
 
@@ -871,10 +716,11 @@ mod tests {
     fn recording_is_a_no_op_when_disabled() {
         add(Counter::SealBlocks, 1_000_000);
         observe(Hist::SealNs, 123);
-        drop(stage_span("seal", 0));
+        let mut ns = 0;
+        drop(stage_span(&mut ns));
+        assert_eq!(ns, 0);
         assert_eq!(get(Counter::SealBlocks), 0);
         assert_eq!(snapshot().histograms[0].count, 0);
-        assert!(events_since(0).is_empty());
         assert!(!enabled());
     }
 
@@ -899,92 +745,15 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
-    fn stage_spans_surface_as_ordered_events() {
-        let cursor = event_cursor();
-        drop(stage_span("seal", 4));
-        drop(stage_span("open", 4));
-        let events: Vec<SpanEvent> = events_since(cursor)
-            .into_iter()
-            .filter(|e| e.key == 4 && (e.stage == "seal" || e.stage == "open"))
-            .collect();
-        assert!(events.len() >= 2, "{events:?}");
-        assert!(
-            events.windows(2).all(|w| w[0].seq < w[1].seq),
-            "events must be seq-ordered: {events:?}"
-        );
-        let rows = layer_breakdown(&events);
-        let row = rows.iter().find(|r| r.layer == 4).expect("layer 4 row");
-        // Zero-duration spans are possible on a coarse clock; presence,
-        // not magnitude, is the invariant.
-        assert_eq!(row.layer, 4);
-    }
-
-    #[test]
-    #[cfg(feature = "telemetry")]
-    fn tenant_scopes_tag_events_and_nest() {
-        assert_eq!(current_tenant(), NO_TENANT);
-        let cursor = event_cursor();
-        {
-            let _outer = tenant_scope(7);
-            assert_eq!(current_tenant(), 7);
-            drop(stage_span("seal", 0xFA57));
-            {
-                let _inner = tenant_scope(9);
-                assert_eq!(current_tenant(), 9);
-                drop(stage_span("open", 0xFA57));
-            }
-            assert_eq!(current_tenant(), 7, "inner scope must restore");
-        }
-        assert_eq!(current_tenant(), NO_TENANT, "outer scope must restore");
-        let events: Vec<SpanEvent> = events_since(cursor)
-            .into_iter()
-            .filter(|e| e.key == 0xFA57)
-            .collect();
-        assert_eq!(events.len(), 2, "{events:?}");
-        assert_eq!(events[0].tenant, 7);
-        assert_eq!(events[1].tenant, 9);
-    }
-
-    #[test]
-    fn layer_breakdown_sums_per_stage_and_sorts() {
-        let events = [
-            SpanEvent {
-                seq: 0,
-                stage: "seal",
-                key: 1,
-                ns: 10,
-                tenant: NO_TENANT,
-            },
-            SpanEvent {
-                seq: 1,
-                stage: "seal",
-                key: 0,
-                ns: 5,
-                tenant: NO_TENANT,
-            },
-            SpanEvent {
-                seq: 2,
-                stage: "mac_fold",
-                key: 1,
-                ns: 7,
-                tenant: 3,
-            },
-            SpanEvent {
-                seq: 3,
-                stage: "unknown-future-stage",
-                key: 1,
-                ns: 99,
-                tenant: NO_TENANT,
-            },
-        ];
-        let rows = layer_breakdown(&events);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].layer, 0);
-        assert_eq!(rows[0].seal_ns, 5);
-        assert_eq!(rows[1].layer, 1);
-        assert_eq!(rows[1].seal_ns, 10);
-        assert_eq!(rows[1].mac_fold_ns, 7);
-        assert_eq!(rows[1].open_ns, 0);
+    fn sum_by_layer_sums_per_stage_and_sorts() {
+        let row = |layer, compute_ns, seal_ns, mac_fold_ns| LayerRow {
+            layer,
+            compute_ns,
+            seal_ns,
+            mac_fold_ns,
+            ..LayerRow::default()
+        };
+        let rows = [row(1, 3, 10, 0), row(0, 0, 5, 0), row(1, 4, 0, 7)];
+        assert_eq!(sum_by_layer(&rows), vec![row(0, 0, 5, 0), row(1, 7, 10, 7)]);
     }
 }

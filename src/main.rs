@@ -217,12 +217,14 @@ fn write_metrics(path: Option<&str>) {
 /// functional path). Small, deterministic, and it exercises every
 /// instrumented stage — seal/open batches, MAC folds, VN advances,
 /// journal appends, epoch bumps — so the snapshot is representative
-/// without being a benchmark.
-fn stats_workload() {
+/// without being a benchmark. Returns the journaled runs' stage-time
+/// rows, summed per layer id across the models.
+fn stats_workload() -> Vec<telemetry::LayerRow> {
+    let mut rows = Vec::new();
     for model in campaign_models() {
         let mut durable = DurableState::default();
         let mut tracker = PadTracker::new();
-        infer_journaled(
+        let run = infer_journaled(
             &model.layers,
             &model.input,
             &model.session,
@@ -234,6 +236,7 @@ fn stats_workload() {
             },
         )
         .expect("the fixed stats workload runs cleanly");
+        rows.extend(run.layer_rows);
     }
     let layers = [
         LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(8, 4, 16, 3))),
@@ -259,6 +262,7 @@ fn stats_workload() {
     let mut fnpu = FunctionalNpu::new(DeviceSecret::from_seed(1), 1);
     fnpu.run(&schedules)
         .expect("the clean functional run verifies");
+    telemetry::sum_by_layer(&rows)
 }
 
 /// One process life of the durable engine: open (or resume) the on-disk
@@ -622,8 +626,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let report = run_serve_campaign(&cfg);
             println!("{}", report.summary());
             if let Some(path) = metrics_path.as_deref() {
-                // Per-session seal/open/mac_fold/journal rows ride along
-                // in the snapshot's `layers` array, keyed by tenant id.
+                // Per-session stage-time rows ride along in the
+                // snapshot's `layers` array, keyed by tenant id.
                 let mut snap = telemetry::snapshot();
                 snap.layers = report.session_rows.clone();
                 if let Err(e) = atomic_write(std::path::Path::new(path), snap.to_json().as_bytes())
@@ -649,8 +653,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let report = run_chaos_campaign(&cfg);
             println!("{}", report.summary());
             if let Some(path) = metrics_path.as_deref() {
-                // Per-session seal/open/mac_fold/journal rows ride along
-                // in the snapshot's `layers` array, keyed by tenant id.
+                // Per-session stage-time rows ride along in the
+                // snapshot's `layers` array, keyed by tenant id.
                 let mut snap = telemetry::snapshot();
                 snap.layers = report.session_rows.clone();
                 if let Err(e) = atomic_write(std::path::Path::new(path), snap.to_json().as_bytes())
@@ -811,10 +815,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             restart_worker(&args);
         }
         "stats" => {
-            let cursor = telemetry::event_cursor();
-            stats_workload();
+            let layers = stats_workload();
             let mut snap = telemetry::snapshot();
-            snap.layers = telemetry::layer_breakdown(&telemetry::events_since(cursor));
+            snap.layers = layers;
             match opt(&args, "--format").as_deref() {
                 None | Some("json") => println!("{}", snap.to_json()),
                 Some("prom") => print!("{}", snap.to_prometheus()),

@@ -254,8 +254,9 @@ fn json_u64(doc: &str, name: &str) -> u64 {
 }
 
 /// `stats` runs its fixed workload and prints the telemetry snapshot;
-/// the schema is present in both feature modes, the counters are only
-/// nonzero when the `telemetry` feature is compiled in.
+/// the schema and the per-layer rows are present in both feature modes,
+/// the counters and stage times are only nonzero when the `telemetry`
+/// feature is compiled in.
 #[test]
 fn stats_subcommand_emits_the_telemetry_schema() {
     let (code, stdout, _) = run_code(&["stats"]);
@@ -264,17 +265,30 @@ fn stats_subcommand_emits_the_telemetry_schema() {
         stdout.contains("\"schema\": \"seculator-telemetry-v1\""),
         "{stdout}"
     );
-    for key in ["seal_batches", "vn_advances", "journal_appends", "seal_ns"] {
+    for key in [
+        "seal_batches",
+        "vn_advances",
+        "journal_appends",
+        "seal_ns",
+        "compute_ns",
+    ] {
         assert!(
             stdout.contains(&format!("\"{key}\"")),
             "missing {key}: {stdout}"
+        );
+    }
+    // The campaign models span layers 0–2; their runs' rows are summed
+    // per layer id.
+    for layer in 0..3 {
+        assert!(
+            stdout.contains(&format!("{{\"layer\": {layer}, \"compute_ns\": ")),
+            "missing the row of layer {layer}: {stdout}"
         );
     }
     if cfg!(feature = "telemetry") {
         assert!(stdout.contains("\"enabled\": true"), "{stdout}");
         assert!(json_u64(&stdout, "seal_batches") > 0, "{stdout}");
         assert!(json_u64(&stdout, "vn_advances") > 0, "{stdout}");
-        assert!(stdout.contains("\"layer\": 0"), "per-layer rows: {stdout}");
     } else {
         assert!(stdout.contains("\"enabled\": false"), "{stdout}");
         assert_eq!(json_u64(&stdout, "seal_batches"), 0, "{stdout}");

@@ -7,9 +7,11 @@
 use proptest::prelude::*;
 use seculator::core::journal::{campaign_models, DurableState, PadTracker};
 use seculator::core::secure_infer::Instruments;
+use seculator::core::telemetry::{self, LayerRow};
 use seculator::core::{
-    infer_journaled, AdmitSpec, CrashClock, FaultInjector, FaultKind, FaultSpec, JournaledError,
-    Persistence, RobustnessPolicy, SecurityError, SessionManager, SessionVerdict,
+    infer_journaled, run_serve_campaign, AdmitSpec, CrashClock, FaultInjector, FaultKind,
+    FaultSpec, JournaledError, Persistence, RobustnessPolicy, SecurityError, ServeCampaignConfig,
+    SessionManager, SessionVerdict,
 };
 use seculator::crypto::DeviceSecret;
 use std::sync::Arc;
@@ -413,4 +415,122 @@ fn retry_storms_never_reuse_a_ctr_pad() {
             "seed {seed}: bystander perturbed by the retry storm"
         );
     }
+}
+
+/// Every tenant of a 300-session serve campaign gets its own exact row:
+/// all 300 are present, in tenant order, and with telemetry on each has
+/// timed seal, open and compute stages. With telemetry off every row is
+/// zero. Rows are written by the steps themselves, so none can be lost
+/// however many events a run produces.
+#[test]
+fn serve_campaign_rows_are_complete_for_every_tenant() {
+    let report = run_serve_campaign(&ServeCampaignConfig {
+        seed: 7,
+        sessions: 300,
+    });
+    let tenants: Vec<u64> = report.session_rows.iter().map(|r| r.layer).collect();
+    assert_eq!(tenants, (0..300).collect::<Vec<u64>>());
+    for r in &report.session_rows {
+        if telemetry::enabled() {
+            assert!(
+                r.seal_ns > 0 && r.open_ns > 0 && r.compute_ns > 0,
+                "tenant {} has an untimed stage: {r:?}",
+                r.layer
+            );
+        } else {
+            let zero = LayerRow {
+                layer: r.layer,
+                ..LayerRow::default()
+            };
+            assert_eq!(*r, zero);
+        }
+    }
+}
+
+/// A tenant's row is the sum of the rows of every layer step it took:
+/// for a tenant that completed in one attempt it equals the sum of its
+/// run's `layer_rows`, and a tenant whose first step was cut by a power
+/// loss also carries the stage times of that failed step. Holds in both
+/// feature modes.
+#[test]
+fn session_rows_sum_the_rows_of_every_step() {
+    let models = campaign_models();
+    let seed = 31u64;
+    let cut_model = &models[0];
+    // Instants in the first layer alone: a cut at half of them lands
+    // inside layer 0, after its first convolution and seal.
+    let steps = {
+        let mut clock = CrashClock::counting();
+        let _ = infer_journaled(
+            &cut_model.layers[..1],
+            &cut_model.input,
+            &cut_model.session,
+            &mut DurableState::default(),
+            &mut Instruments {
+                tracker: &mut PadTracker::new(),
+                injector: None,
+                clock: Some(&mut clock),
+            },
+        );
+        clock.steps()
+    };
+    let mut mgr = SessionManager::new(
+        DeviceSecret::from_seed(seed),
+        seed ^ 0x5eed,
+        cut_model.session.shift,
+        cut_model.session.policy,
+        2,
+    );
+    mgr.harden(RobustnessPolicy::hardened(), seed ^ 0xF00D);
+    for t in 0..4u32 {
+        let m = &models[t as usize % models.len()];
+        mgr.admit(AdmitSpec {
+            tenant: t,
+            name: m.name.to_string(),
+            layers: Arc::new(m.layers.clone()),
+            input: m.input.clone(),
+            arrival_round: u64::from(t),
+            injector: None,
+            deadline_rounds: None,
+            crash_cuts: if t == 0 { vec![steps / 2] } else { Vec::new() },
+            nonce_salt: 0,
+            home_dir: None,
+        });
+    }
+    let report = mgr.run();
+    assert_eq!(report.session_rows.len(), report.outcomes.len());
+    for (o, row) in report.outcomes.iter().zip(&report.session_rows) {
+        assert_eq!(row.layer, u64::from(o.tenant));
+        let SessionVerdict::Completed(run) = &o.verdict else {
+            panic!("tenant {} must complete, got {:?}", o.tenant, o.verdict);
+        };
+        let mut sum = LayerRow {
+            layer: row.layer,
+            ..LayerRow::default()
+        };
+        for r in &run.layer_rows {
+            sum.add_stages(r);
+        }
+        if o.retries == 0 {
+            assert_eq!(*row, sum, "tenant {}", o.tenant);
+            continue;
+        }
+        // The retried run re-executes from layer 0, so only the failed
+        // step's own stage times separate the tenant's row from the
+        // run's sum.
+        assert_eq!(run.first_executed_layer, 0);
+        if telemetry::enabled() {
+            assert!(
+                row.compute_ns > sum.compute_ns && row.seal_ns > sum.seal_ns,
+                "tenant {}: the failed step's stages are missing: {row:?} vs {sum:?}",
+                o.tenant
+            );
+        } else {
+            assert_eq!(*row, sum);
+        }
+    }
+    assert_eq!(
+        report.outcomes[0].retries, 1,
+        "the cut tenant must complete on its second attempt"
+    );
 }
