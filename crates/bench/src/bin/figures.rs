@@ -20,9 +20,11 @@
 //! mode CI uses), `--check` (exit 1 unless the parallel datapath beats
 //! the serial one on the MLP model), and `--metrics <path>` (write the
 //! telemetry snapshot — counters, histograms, and the per-layer
-//! stage-time breakdown — as JSON). It writes
-//! `BENCH_throughput.json` next to the working directory in addition to
-//! the console table.
+//! stage-time breakdown — as JSON). Its end-to-end column and its
+//! per-layer rows both come from the journaled inference every campaign,
+//! session and daemon request runs. It writes `BENCH_throughput.json`
+//! (`seculator-bench-throughput-v2`) next to the working directory in
+//! addition to the console table.
 //!
 //! `serve` sweeps the multi-session scheduler over 1/2/4/8/16/64
 //! concurrent tenant sessions of the same model under a seeded
@@ -814,15 +816,15 @@ fn export_json() {
 // ───────────────────────── Throughput ─────────────────────────
 
 /// One serial-vs-parallel measurement pair for a campaign model, plus
-/// one parallel-mode measurement per available crypto backend.
+/// one parallel-mode measurement per available crypto backend and the
+/// model's end-to-end journaled inference time.
 struct ThroughputRow {
     model: &'static str,
     seal_serial: f64,
     seal_parallel: f64,
     open_serial: f64,
     open_parallel: f64,
-    infer_serial_ms: f64,
-    infer_parallel_ms: f64,
+    infer_ms: f64,
     backends: Vec<BackendThroughput>,
 }
 
@@ -841,9 +843,6 @@ impl ThroughputRow {
     }
     fn open_speedup(&self) -> f64 {
         self.open_parallel / self.open_serial
-    }
-    fn infer_speedup(&self) -> f64 {
-        self.infer_serial_ms / self.infer_parallel_ms
     }
     fn backend(&self, name: &str) -> Option<&BackendThroughput> {
         self.backends.iter().find(|b| b.backend == name)
@@ -971,14 +970,14 @@ fn vngen_exp() {
 fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
     use seculator_core::secure_infer::Instruments;
     use seculator_core::telemetry;
-    use seculator_core::{campaign_models, infer_journaled, infer_protected_mode, BlockCoords};
+    use seculator_core::{campaign_models, infer_journaled, infer_plain, BlockCoords};
     use seculator_core::{CryptoDatapath, DatapathMode, DurableState, PadTracker};
 
     println!("Crypto-datapath throughput: serial (scalar AES + incremental MAC)");
     println!("vs. parallel (T-table lanes + two-compression MAC engine, rayon");
     println!("block fan-out), plus one parallel-mode row per crypto backend");
-    println!("this host can execute. Every path is bit-identical by assertion");
-    println!("before any timer starts.\n");
+    println!("this host can execute, and the end-to-end journaled inference.");
+    println!("Every path is bit-identical by assertion before any timer starts.\n");
 
     let tile_blocks: usize = if quick { 192 } else { 1536 };
     let seal_reps: u32 = if quick { 2 } else { 6 };
@@ -989,11 +988,12 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
         if quick { " (quick mode)" } else { "" }
     );
     println!(
-        "\n{:<12} {:>14} {:>14} {:>8} {:>11} {:>11} {:>8}",
-        "model", "seal ser MB/s", "seal par MB/s", "speedup", "infer ser", "infer par", "speedup"
+        "\n{:<12} {:>14} {:>14} {:>8} {:>11}",
+        "model", "seal ser MB/s", "seal par MB/s", "speedup", "infer"
     );
 
     let mut rows = Vec::new();
+    let mut per_model: Vec<(&str, Vec<telemetry::LayerRow>)> = Vec::new();
     for m in campaign_models() {
         // A deterministic tile, seeded per model so each workload hashes
         // distinct content. Coordinates mimic a first-layer ofmap evict.
@@ -1109,28 +1109,34 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             });
         }
 
-        // End-to-end: the exact protected inference the crash campaign
-        // runs, in both modes, outputs compared bit-for-bit.
-        let run = |mode: DatapathMode| {
-            infer_protected_mode(
+        // End-to-end: the journaled inference every campaign, session
+        // and daemon request runs, on a fresh journal and pad tracker per
+        // run. The first run is checked against the plaintext reference
+        // and supplies the per-layer stage rows printed below.
+        let run = || {
+            infer_journaled(
                 &m.layers,
                 &m.input,
-                m.session.shift,
-                m.session.secret,
-                m.session.nonce,
-                None,
-                mode,
+                &m.session,
+                &mut DurableState::default(),
+                &mut Instruments {
+                    tracker: &mut PadTracker::new(),
+                    injector: None,
+                    clock: None,
+                },
             )
-            .expect("clean inference verifies")
+            .expect("clean journaled inference verifies")
         };
-        let out_s = run(DatapathMode::Serial);
-        let out_p = run(DatapathMode::Parallel);
-        assert_eq!(out_s, out_p, "inference outputs diverged ({})", m.name);
-        let infer_serial_ms = best_ms(infer_reps, || {
-            std::hint::black_box(run(DatapathMode::Serial));
-        });
-        let infer_parallel_ms = best_ms(infer_reps, || {
-            std::hint::black_box(run(DatapathMode::Parallel));
+        let first = run();
+        assert_eq!(
+            first.output,
+            infer_plain(&m.layers, &m.input, m.session.shift),
+            "journaled inference diverged from plain ({})",
+            m.name
+        );
+        per_model.push((m.name, first.layer_rows));
+        let infer_ms = best_ms(infer_reps, || {
+            std::hint::black_box(run());
         });
 
         let row = ThroughputRow {
@@ -1139,19 +1145,16 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             seal_parallel,
             open_serial,
             open_parallel,
-            infer_serial_ms,
-            infer_parallel_ms,
+            infer_ms,
             backends,
         };
         println!(
-            "{:<12} {:>14.1} {:>14.1} {:>7.2}x {:>9.2}ms {:>9.2}ms {:>7.2}x",
+            "{:<12} {:>14.1} {:>14.1} {:>7.2}x {:>9.3}ms",
             row.model,
             row.seal_serial * 64.0 / 1e6,
             row.seal_parallel * 64.0 / 1e6,
             row.seal_speedup(),
-            row.infer_serial_ms,
-            row.infer_parallel_ms,
-            row.infer_speedup()
+            row.infer_ms
         );
         for b in &row.backends {
             println!(
@@ -1191,8 +1194,7 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
                 "    {{\"model\":\"{}\",\"seal_serial_blocks_per_sec\":{:.1},\
 \"seal_parallel_blocks_per_sec\":{:.1},\"seal_speedup\":{:.3},\
 \"open_serial_blocks_per_sec\":{:.1},\"open_parallel_blocks_per_sec\":{:.1},\
-\"open_speedup\":{:.3},\"infer_serial_ms\":{:.3},\"infer_parallel_ms\":{:.3},\
-\"infer_speedup\":{:.3},\"bit_identical\":true,\"backends\":[{}]}}",
+\"open_speedup\":{:.3},\"infer_ms\":{:.3},\"bit_identical\":true,\"backends\":[{}]}}",
                 r.model,
                 r.seal_serial,
                 r.seal_parallel,
@@ -1200,45 +1202,24 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
                 r.open_serial,
                 r.open_parallel,
                 r.open_speedup(),
-                r.infer_serial_ms,
-                r.infer_parallel_ms,
-                r.infer_speedup(),
+                r.infer_ms,
                 backend_entries.join(",")
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"seculator-bench-throughput-v1\",\n  \"quick\": {quick},\n  \
+        "{{\n  \"schema\": \"seculator-bench-throughput-v2\",\n  \"quick\": {quick},\n  \
 \"threads\": {threads},\n  \"tile_blocks\": {tile_blocks},\n  \"models\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     write_or_die("BENCH_throughput.json", &json);
     println!("\nwrote BENCH_throughput.json");
 
-    // Per-layer stage times: one journaled inference per campaign model
-    // through the instrumented datapath, read from the run's own rows.
-    // The throughput table above and BENCH_throughput.json are
-    // byte-identical whether or not the `telemetry` feature is compiled
-    // in; this section simply has nothing to report when the stage
-    // timers compile to no-ops.
-    let mut per_model: Vec<(&str, Vec<telemetry::LayerRow>)> = Vec::new();
-    for m in campaign_models() {
-        let mut durable = DurableState::default();
-        let mut tracker = PadTracker::new();
-        let run = infer_journaled(
-            &m.layers,
-            &m.input,
-            &m.session,
-            &mut durable,
-            &mut Instruments {
-                tracker: &mut tracker,
-                injector: None,
-                clock: None,
-            },
-        )
-        .expect("clean journaled inference verifies");
-        per_model.push((m.name, run.layer_rows));
-    }
+    // Per-layer stage times: each model's first journaled run, read from
+    // the run's own rows. The throughput table above and
+    // BENCH_throughput.json have the same shape whether or not the
+    // `telemetry` feature is compiled in; this section simply has nothing
+    // to report when the stage timers compile to no-ops.
     if telemetry::enabled() {
         println!("\nper-layer stage times (journaled inference, parallel datapath):");
         println!(

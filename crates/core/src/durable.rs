@@ -31,19 +31,21 @@
 //!   every injected corruption.
 //!
 //! Write ordering (the fsync discipline, DESIGN.md §14): the `EpochOpen`
-//! record is fsynced *before* the first pad of its epoch is consumed;
-//! each layer commit persists DRAM snapshot → journal frames → ledger
-//! checkpoint. Any prefix of that order is safe to crash out of.
+//! record is fsynced *before* the first pad of its epoch is consumed —
+//! `DurableHome::open_cursor`, the one place a durable cursor opens,
+//! enforces it for every driver; each layer commit persists DRAM
+//! snapshot → journal frames → ledger checkpoint. Any prefix of that
+//! order is safe to crash out of.
 
 use crate::error::SecurityError;
-use crate::fault::{CrashClock, CrashPhase, PowerLoss};
+use crate::fault::{splitmix, CrashClock, CrashPhase, PowerLoss};
 use crate::journal::{
     campaign_models, CampaignModel, DurableState, JournalStore, PadTracker, RECORD_BYTES,
 };
 use crate::retry::RestartPolicy;
 use crate::secure_infer::{
     infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer, AbortReport,
-    Instruments, JournaledError, JournaledRun, QConvLayer, SecureSession,
+    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, SecureSession,
 };
 use crate::secure_memory::{Block, BlockCoords, DatapathCache, UntrustedDram};
 use crate::telemetry;
@@ -858,6 +860,65 @@ fn parse_ledger(payload: &[u8]) -> Option<LedgerImage> {
     Some((epochs, pads))
 }
 
+/// Reads a one-frame sealed file (the manifest or the ledger) and
+/// returns its authenticated payload. Strict: bad framing (CRC
+/// violation, torn tail, a second frame) is corruption, a tag violation
+/// is tamper.
+fn read_sealed(
+    vfs: &mut dyn Vfs,
+    path: &str,
+    file: &'static str,
+    domain: &[u8],
+    session: &SecureSession,
+) -> Result<Vec<u8>, DurableError> {
+    let bytes = vfs.read(path)?;
+    let scan = scan_frames(file, &bytes).map_err(DurableError::Security)?;
+    if scan.frames.len() != 1 || scan.torn_tail_bytes != 0 {
+        return Err(DurableError::Security(SecurityError::DurableCorruption {
+            file,
+            frame: 0,
+        }));
+    }
+    open_blob(domain, &session.secret, session.nonce, &scan.frames[0])
+        .map(<[u8]>::to_vec)
+        .ok_or(DurableError::Security(SecurityError::DurableTamper {
+            file,
+        }))
+}
+
+/// Reads the pad-ledger checkpoint, or `None` when the home has not
+/// checkpointed yet. The persisted pad-freshness proof is load-bearing,
+/// so an unparsable payload is corruption too.
+fn read_ledger(
+    vfs: &mut dyn Vfs,
+    session: &SecureSession,
+) -> Result<Option<LedgerImage>, DurableError> {
+    if !vfs.exists(LEDGER_FILE) {
+        return Ok(None);
+    }
+    let payload = read_sealed(vfs, LEDGER_FILE, "ledger", LEDGER_DOMAIN, session)?;
+    parse_ledger(&payload)
+        .map(Some)
+        .ok_or(DurableError::Security(SecurityError::DurableCorruption {
+            file: "ledger",
+            frame: 0,
+        }))
+}
+
+/// Splits journal-file bytes into their complete frames, each of which
+/// must be exactly one sealed record. A torn tail is left to the caller:
+/// opening a home repairs it, the audit ignores it.
+fn journal_frames(bytes: &[u8]) -> Result<FrameScan, DurableError> {
+    let scan = scan_frames("journal", bytes).map_err(DurableError::Security)?;
+    match scan.frames.iter().position(|f| f.len() != RECORD_BYTES) {
+        Some(i) => Err(DurableError::Security(SecurityError::DurableCorruption {
+            file: "journal",
+            frame: i as u32,
+        })),
+        None => Ok(scan),
+    }
+}
+
 /// Atomic snapshot write: temp file, fsync, rename (the rename syncs the
 /// directory in [`StdVfs`]). The temp name is deterministic per target,
 /// so a crashed temp is simply overwritten next time.
@@ -890,7 +951,8 @@ impl DurableHome {
     /// opening authenticates the manifest, scans + repairs the journal,
     /// loads the DRAM snapshot (discarding an unreadable one — DRAM is
     /// untrusted; its integrity comes from MACs), and strictly verifies
-    /// the ledger before preloading the pad oracle from it.
+    /// the ledger before preloading the pad oracle from it. An open that
+    /// finds prior journal records counts one restart-resume in `stats`.
     ///
     /// # Errors
     ///
@@ -945,49 +1007,22 @@ impl DurableHome {
         stats: &mut PersistentStats,
     ) -> Result<OpenedHome, DurableError> {
         // Manifest: CRC framing, then the sealed tag, then field match.
-        let manifest_bytes = vfs.read(MANIFEST_FILE)?;
-        let scan = scan_frames("manifest", &manifest_bytes).map_err(DurableError::Security)?;
-        if scan.frames.len() != 1 || scan.torn_tail_bytes != 0 {
-            return Err(DurableError::Security(SecurityError::DurableCorruption {
-                file: "manifest",
-                frame: 0,
-            }));
-        }
-        let payload = open_blob(
-            MANIFEST_DOMAIN,
-            &session.secret,
-            session.nonce,
-            &scan.frames[0],
-        )
-        .ok_or(DurableError::Security(SecurityError::DurableTamper {
-            file: "manifest",
-        }))?;
-        if payload != manifest_payload(session, layer_count).as_slice() {
+        let manifest = read_sealed(vfs, MANIFEST_FILE, "manifest", MANIFEST_DOMAIN, session)?;
+        if manifest != manifest_payload(session, layer_count) {
             return Err(DurableError::Security(SecurityError::DurableTamper {
                 file: "manifest",
             }));
         }
 
-        // Journal: scan frames; a torn tail is repaired by rewriting the
-        // file truncated to its complete frames. Every frame must be
-        // exactly one sealed record.
+        // Journal: a torn tail is repaired by rewriting the file
+        // truncated to its complete frames.
         let journal_bytes = if vfs.exists(JOURNAL_FILE) {
             vfs.read(JOURNAL_FILE)?
         } else {
             Vec::new()
         };
-        let scan = scan_frames("journal", &journal_bytes).map_err(DurableError::Security)?;
+        let scan = journal_frames(&journal_bytes)?;
         let torn = scan.torn_tail_bytes > 0;
-        let mut media = Vec::with_capacity(scan.frames.len() * RECORD_BYTES);
-        for (i, f) in scan.frames.iter().enumerate() {
-            if f.len() != RECORD_BYTES {
-                return Err(DurableError::Security(SecurityError::DurableCorruption {
-                    file: "journal",
-                    frame: i as u32,
-                }));
-            }
-            media.extend_from_slice(f);
-        }
         if torn {
             // Benign repair: persist the truncation so the tail cannot
             // resurface, then continue.
@@ -995,7 +1030,7 @@ impl DurableHome {
             stats.torn_repaired();
         }
         let prior_records = scan.frames.len() as u32;
-        let journal = JournalStore::from_bytes(media);
+        let journal = JournalStore::from_bytes(scan.frames.concat());
 
         // DRAM snapshot: untrusted memory. An unreadable/corrupt image
         // is *discarded*, not refused — equivalent to the adversary
@@ -1024,45 +1059,20 @@ impl DurableHome {
             UntrustedDram::new()
         };
 
-        // Ledger: the persisted pad-freshness proof is load-bearing, so
-        // it is strict — CRC violation is corruption, tag violation is
-        // tamper, and duplicate pads inside it are tamper too.
+        // Ledger: strict, and duplicate pads inside it are tamper too.
+        let (epochs, pads) = read_ledger(vfs, session)?.unwrap_or_default();
         let mut tracker = PadTracker::default();
-        let mut epochs = Vec::new();
-        if vfs.exists(LEDGER_FILE) {
-            let bytes = vfs.read(LEDGER_FILE)?;
-            let scan = scan_frames("ledger", &bytes).map_err(DurableError::Security)?;
-            if scan.frames.len() != 1 || scan.torn_tail_bytes != 0 {
-                return Err(DurableError::Security(SecurityError::DurableCorruption {
+        for (epoch, coords) in pads {
+            if !tracker.preload(epoch, coords) {
+                return Err(DurableError::Security(SecurityError::DurableTamper {
                     file: "ledger",
-                    frame: 0,
                 }));
-            }
-            let payload = open_blob(
-                LEDGER_DOMAIN,
-                &session.secret,
-                session.nonce,
-                &scan.frames[0],
-            )
-            .ok_or(DurableError::Security(SecurityError::DurableTamper {
-                file: "ledger",
-            }))?;
-            let (led_epochs, pads) = parse_ledger(payload).ok_or(DurableError::Security(
-                SecurityError::DurableCorruption {
-                    file: "ledger",
-                    frame: 0,
-                },
-            ))?;
-            epochs = led_epochs;
-            for (epoch, coords) in pads {
-                if !tracker.preload(epoch, coords) {
-                    return Err(DurableError::Security(SecurityError::DurableTamper {
-                        file: "ledger",
-                    }));
-                }
             }
         }
 
+        if prior_records > 0 {
+            stats.resumed();
+        }
         Ok(OpenedHome {
             home: DurableHome {
                 synced_bytes: prior_records as usize * RECORD_BYTES,
@@ -1074,6 +1084,44 @@ impl DurableHome {
             torn_tail_repaired: torn,
             dram_discarded,
         })
+    }
+
+    /// Opens this home's journaled cursor — fresh on an empty journal,
+    /// restart-resumed otherwise (repair, rollback walk, fresh epoch) —
+    /// and syncs the new `EpochOpen` record to media before returning.
+    /// Every durable driver opens its cursor here, so the write-ahead
+    /// rule holds for all of them: an epoch is durable before the first
+    /// pad of it is consumed, or a crash could replay the epoch.
+    ///
+    /// # Errors
+    ///
+    /// Clock cuts, journal verdicts and I/O faults; after an error the
+    /// home must be discarded.
+    // The same split borrows as `checkpoint`, plus the cursor's inputs.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn open_cursor(
+        &mut self,
+        vfs: &mut dyn Vfs,
+        input: &QTensor3,
+        session: &SecureSession,
+        durable: &mut DurableState,
+        instruments: &mut Instruments<'_>,
+        cache: &mut DatapathCache,
+        stats: &mut PersistentStats,
+    ) -> Result<JournaledCursor, DurableError> {
+        let cursor = if durable.journal.is_empty() {
+            open_journaled_cursor(input, session, durable, &mut instruments.clock, cache)?
+        } else {
+            open_resume_cursor(input, session, durable, instruments, None, cache)?
+        };
+        self.sync_journal(
+            vfs,
+            &durable.journal,
+            cursor.next_layer(),
+            &mut instruments.clock,
+            stats,
+        )?;
+        Ok(cursor)
     }
 
     /// Appends every not-yet-synced journal record to the on-disk file
@@ -1212,10 +1260,9 @@ pub fn run_persistent(
     input: &QTensor3,
     session: &SecureSession,
     vfs: &mut dyn Vfs,
-    mut clock: Option<&mut CrashClock>,
+    clock: Option<&mut CrashClock>,
     stats: &mut PersistentStats,
 ) -> Result<PersistentOutcome, DurableError> {
-    let opened = DurableHome::open_or_create(vfs, session, layers.len() as u32, stats)?;
     let OpenedHome {
         mut home,
         mut durable,
@@ -1223,58 +1270,39 @@ pub fn run_persistent(
         prior_records,
         torn_tail_repaired,
         dram_discarded,
-    } = opened;
-    let resumed = prior_records > 0;
-    if resumed {
-        stats.resumed();
-    }
-
-    // Per-run schedule cache: a restart-resume's rollback walk shares
-    // one key expansion per epoch instead of one per verified commit.
-    let mut schedules = DatapathCache::new();
-    let mut cursor = if durable.journal.is_empty() {
-        open_journaled_cursor(input, session, &mut durable, &mut clock, &mut schedules)?
-    } else {
-        let mut ins = Instruments {
-            tracker: &mut tracker,
-            injector: None,
-            clock: clock.as_deref_mut(),
-        };
-        open_resume_cursor(input, session, &mut durable, &mut ins, None, &mut schedules)?
+    } = DurableHome::open_or_create(vfs, session, layers.len() as u32, stats)?;
+    let mut ins = Instruments {
+        tracker: &mut tracker,
+        injector: None,
+        clock,
     };
-    // Write-ahead: the EpochOpen record must be durable before the first
-    // pad of its epoch is consumed.
-    home.sync_journal(
+    // A per-run schedule cache: a restart-resume's rollback walk shares
+    // one key expansion per epoch instead of one per verified commit.
+    let mut cursor = home.open_cursor(
         vfs,
-        &durable.journal,
-        cursor.next_layer(),
-        &mut clock,
+        input,
+        session,
+        &mut durable,
+        &mut ins,
+        &mut DatapathCache::new(),
         stats,
     )?;
-
     while !cursor.done(layers) {
-        {
-            let mut ins = Instruments {
-                tracker: &mut tracker,
-                injector: None,
-                clock: clock.as_deref_mut(),
-            };
-            step_journaled_layer(layers, session, &mut cursor, &mut durable, &mut ins)?;
-        }
+        step_journaled_layer(layers, session, &mut cursor, &mut durable, &mut ins)?;
         home.checkpoint(
             vfs,
             &durable,
-            &tracker,
+            ins.tracker,
             session,
             cursor.epoch(),
             cursor.next_layer(),
-            &mut clock,
+            &mut ins.clock,
             stats,
         )?;
     }
     Ok(PersistentOutcome {
         run: cursor.finish(),
-        resumed,
+        resumed: prior_records > 0,
         prior_records,
         torn_tail_repaired,
         dram_discarded,
@@ -1333,14 +1361,8 @@ pub struct HomeAudit {
 /// The same typed verdicts as [`DurableHome::open_or_create`].
 pub fn audit_home(vfs: &mut dyn Vfs, session: &SecureSession) -> Result<HomeAudit, DurableError> {
     use crate::journal::JournalRecordKind;
-    let journal_bytes = vfs.read(JOURNAL_FILE)?;
-    let scan = scan_frames("journal", &journal_bytes).map_err(DurableError::Security)?;
-    let mut media = Vec::new();
-    for f in &scan.frames {
-        media.extend_from_slice(f);
-    }
-    let store = JournalStore::from_bytes(media);
-    let replay = store
+    let scan = journal_frames(&vfs.read(JOURNAL_FILE)?)?;
+    let replay = JournalStore::from_bytes(scan.frames.concat())
         .replay(&session.secret, session.nonce)
         .map_err(DurableError::Security)?;
     let journal_epochs: Vec<u32> = replay
@@ -1351,41 +1373,15 @@ pub fn audit_home(vfs: &mut dyn Vfs, session: &SecureSession) -> Result<HomeAudi
         .collect();
     let epochs_strictly_increasing = journal_epochs.windows(2).all(|w| w[0] < w[1]);
 
+    let (ledger_epochs, pads) = read_ledger(vfs, session)?.unwrap_or_default();
+    let mut seen = PadTracker::default();
     let mut ledger_pads = 0u64;
     let mut duplicate_pads = 0u64;
-    let mut ledger_epochs = Vec::new();
-    if vfs.exists(LEDGER_FILE) {
-        let bytes = vfs.read(LEDGER_FILE)?;
-        let scan = scan_frames("ledger", &bytes).map_err(DurableError::Security)?;
-        if scan.frames.len() != 1 {
-            return Err(DurableError::Security(SecurityError::DurableCorruption {
-                file: "ledger",
-                frame: 0,
-            }));
-        }
-        let payload = open_blob(
-            LEDGER_DOMAIN,
-            &session.secret,
-            session.nonce,
-            &scan.frames[0],
-        )
-        .ok_or(DurableError::Security(SecurityError::DurableTamper {
-            file: "ledger",
-        }))?;
-        let (epochs, pads) = parse_ledger(payload).ok_or(DurableError::Security(
-            SecurityError::DurableCorruption {
-                file: "ledger",
-                frame: 0,
-            },
-        ))?;
-        ledger_epochs = epochs;
-        let mut seen = PadTracker::default();
-        for (epoch, coords) in pads {
-            if seen.preload(epoch, coords) {
-                ledger_pads += 1;
-            } else {
-                duplicate_pads += 1;
-            }
+    for (epoch, coords) in pads {
+        if seen.preload(epoch, coords) {
+            ledger_pads += 1;
+        } else {
+            duplicate_pads += 1;
         }
     }
     Ok(HomeAudit {
@@ -1604,14 +1600,6 @@ impl RestartVfsReport {
         );
         s
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Flips a payload byte of frame `frame_idx` and fixes the frame CRC —

@@ -197,9 +197,13 @@ pub struct FaultInjector {
     injections: u64,
 }
 
-/// splitmix64 — tiny, deterministic, and plenty for picking bit
-/// positions.
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
+/// One step of the splitmix64 stream: advances `state` and returns the
+/// next draw. The campaigns, the scheduler and the wire daemon all draw
+/// their seeded choices (fault bits, cut instants, tenant nonces, wire
+/// challenges) from this one function, so a seed reads the same
+/// everywhere.
+#[must_use]
+pub fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -50,8 +50,8 @@ pub use durable::{
 pub use engine::{make_engine, SchemeKind, SchemeTiming, TileSecurityCost};
 pub use error::SecurityError;
 pub use fault::{
-    run_campaign, AccessCtx, CampaignConfig, CampaignReport, CrashClock, CrashPhase, FaultInjector,
-    FaultKind, FaultSpec, Persistence, PowerLoss, TrialResult,
+    run_campaign, splitmix, AccessCtx, CampaignConfig, CampaignReport, CrashClock, CrashPhase,
+    FaultInjector, FaultKind, FaultSpec, Persistence, PowerLoss, TrialResult,
 };
 pub use functional::{Attack, FunctionalNpu, FunctionalReport};
 pub use journal::{
@@ -66,9 +66,8 @@ pub use npu::TimingNpu;
 pub use pipeline::{amortization_curve, run_batch, BatchStats, PipelineConfig};
 pub use retry::{RestartPolicy, RetryPolicy, RobustnessPolicy, SheddingPolicy};
 pub use secure_infer::{
-    infer_journaled, infer_plain, infer_protected, infer_protected_mode, infer_resume, AbortReport,
-    InferError, Instruments, JournaledError, JournaledRun, QConvLayer, RecoveryPolicy,
-    SecureSession,
+    infer_journaled, infer_plain, infer_resume, AbortReport, Instruments, JournaledError,
+    JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
 };
 pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram};
 pub use session::{

@@ -5,21 +5,24 @@
 //!
 //! The headline property, tested below: the protected pipeline produces
 //! **bit-identical** results to an unprotected run of the same network,
-//! and any tampering with the encrypted tensors in flight is detected at
-//! the next layer boundary.
+//! and any tampering with the encrypted tensors in flight is detected
+//! eagerly, at the producing layer's own boundary, before the tensor
+//! feeds the next layer. Every protected run steps one journaled cursor
+//! a layer at a time; [`infer_journaled`] and [`infer_resume`] are its
+//! single-tenant drivers.
 //!
 //! Layer outputs move at layer granularity here (one "tile" per layer),
 //! which keeps the arithmetic honest while the tile-granular version of
-//! the security machinery is exercised by [`crate::functional`].
+//! the security machinery — including the paper's deferred check, which
+//! closes a layer's equation only once the next layer has consumed it —
+//! is exercised by [`crate::functional`].
 
 use crate::audit::{IncidentLog, IncidentRecord, RecoveryAction};
 use crate::error::SecurityError;
 use crate::fault::{AccessCtx, CrashClock, CrashPhase, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker};
-use crate::mac_verify::{EagerLayerVerifier, LayerMacVerifier};
-use crate::secure_memory::{
-    Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram,
-};
+use crate::mac_verify::EagerLayerVerifier;
+use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, DatapathCache, UntrustedDram};
 use crate::telemetry::{self, LayerRow};
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
@@ -59,31 +62,6 @@ impl QConvLayer {
         Self::simple(weights, 1)
     }
 }
-
-/// Where a protected inference failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InferError {
-    /// A layer-boundary integrity check failed.
-    IntegrityBreach {
-        /// The layer whose output failed verification.
-        producer_layer: u32,
-    },
-}
-
-impl std::fmt::Display for InferError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::IntegrityBreach { producer_layer } => {
-                write!(
-                    f,
-                    "integrity breach in layer {producer_layer}'s output tensor"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for InferError {}
 
 /// Serializes an int32 accumulator tensor into 64-byte blocks (16 `i32`
 /// values per block, zero-padded).
@@ -151,22 +129,6 @@ fn tile_coords(fmap_id: u32, layer_id: u32, version: u32, blocks: usize) -> Vec<
         .collect()
 }
 
-/// Sequentially fetches a pending tile's ciphertext from DRAM alongside
-/// its coordinates (VN 1, fmap = layer = producer — the deferred-verify
-/// layout of [`infer_protected`]).
-fn pending_tile(
-    dram: &UntrustedDram,
-    base: u64,
-    blocks: usize,
-    producer: u32,
-) -> (Vec<BlockCoords>, Vec<Block>) {
-    let coords = tile_coords(producer, producer, 1, blocks);
-    let cts = (0..blocks)
-        .map(|i| dram.load(base + i as u64 * 64))
-        .collect();
-    (coords, cts)
-}
-
 /// Requantizes an accumulator to int8 activations with a fixed
 /// right-shift (a simple power-of-two requantization).
 fn requantize_shift(t: &seculator_compute::quant::QAccum3, shift: u32) -> QTensor3 {
@@ -187,16 +149,35 @@ fn requantize_shift(t: &seculator_compute::quant::QAccum3, shift: u32) -> QTenso
 /// # Examples
 ///
 /// ```
-/// use seculator_core::secure_infer::{infer_plain, infer_protected, QConvLayer};
+/// use seculator_core::journal::{DurableState, PadTracker};
+/// use seculator_core::secure_infer::{
+///     infer_journaled, infer_plain, Instruments, QConvLayer, RecoveryPolicy, SecureSession,
+/// };
 /// use seculator_compute::quant::{QTensor3, QTensor4};
 /// use seculator_crypto::DeviceSecret;
 ///
 /// let layers = vec![QConvLayer::simple(QTensor4::seeded(4, 2, 3, 3, 1), 1)];
 /// let input = QTensor3::seeded(2, 8, 8, 2);
 /// let plain = infer_plain(&layers, &input, 6);
-/// let secured = infer_protected(&layers, &input, 6, DeviceSecret::from_seed(3), 1, None)?;
-/// assert_eq!(plain, secured, "protection is transparent to the arithmetic");
-/// # Ok::<(), seculator_core::secure_infer::InferError>(())
+/// let session = SecureSession {
+///     secret: DeviceSecret::from_seed(3),
+///     nonce: 1,
+///     shift: 6,
+///     policy: RecoveryPolicy::default(),
+/// };
+/// let secured = infer_journaled(
+///     &layers,
+///     &input,
+///     &session,
+///     &mut DurableState::default(),
+///     &mut Instruments {
+///         tracker: &mut PadTracker::new(),
+///         injector: None,
+///         clock: None,
+///     },
+/// )?;
+/// assert_eq!(plain, secured.output, "protection is transparent to the arithmetic");
+/// # Ok::<(), seculator_core::secure_infer::JournaledError>(())
 /// ```
 #[must_use]
 pub fn infer_plain(layers: &[QConvLayer], input: &QTensor3, shift: u32) -> QTensor3 {
@@ -206,152 +187,6 @@ pub fn infer_plain(layers: &[QConvLayer], input: &QTensor3, shift: u32) -> QTens
         activ = requantize_shift(&acc, shift);
     }
     activ
-}
-
-/// Protected inference: each layer's accumulator tensor is written to
-/// untrusted DRAM encrypted + MAC-aggregated, then read back, verified at
-/// the layer boundary, and requantized for the next layer.
-///
-/// `attack`, when set, lets the adversary mutate DRAM between a layer's
-/// write and the next layer's read: `(producer_layer, block_index)`.
-///
-/// # Errors
-///
-/// Returns [`InferError::IntegrityBreach`] when verification fails — the
-/// expected outcome under attack.
-pub fn infer_protected(
-    layers: &[QConvLayer],
-    input: &QTensor3,
-    shift: u32,
-    secret: DeviceSecret,
-    nonce: u64,
-    attack: Option<(u32, u64)>,
-) -> Result<QTensor3, InferError> {
-    infer_protected_mode(
-        layers,
-        input,
-        shift,
-        secret,
-        nonce,
-        attack,
-        DatapathMode::default(),
-    )
-}
-
-/// [`infer_protected`] with an explicit [`DatapathMode`] — the entry
-/// point the throughput benchmark uses to time the serial reference
-/// against the parallel datapath on identical inputs and assert the
-/// outputs are bit-identical.
-///
-/// # Errors
-///
-/// As [`infer_protected`].
-pub fn infer_protected_mode(
-    layers: &[QConvLayer],
-    input: &QTensor3,
-    shift: u32,
-    secret: DeviceSecret,
-    nonce: u64,
-    attack: Option<(u32, u64)>,
-    mode: DatapathMode,
-) -> Result<QTensor3, InferError> {
-    let datapath = CryptoDatapath::with_epoch_mode(secret, nonce, 0, mode);
-    let mut dram = UntrustedDram::new();
-    let mut verifier = LayerMacVerifier::new();
-    let mut activ = input.clone();
-    let mut base_addr = 0x1_0000u64;
-
-    /// The previous layer's output, still sitting encrypted in DRAM.
-    struct Pending {
-        base: u64,
-        blocks: usize,
-        k: usize,
-        h: usize,
-        w: usize,
-        producer: u32,
-    }
-    let mut pending: Option<Pending> = None;
-
-    for (li, layer) in layers.iter().enumerate() {
-        let li = li as u32;
-        verifier.begin_layer();
-
-        // First-read the previous layer's output back from DRAM — these
-        // MACs land in the producer's register bank, closing its
-        // write-set when `end_layer` fires below.
-        if let Some(p) = pending.take() {
-            // Fetch the tile's ciphertext sequentially, then fan the pure
-            // decrypt+MAC work across the blocks in one batch; MACs are
-            // absorbed in block order (XOR makes even that order moot).
-            let (coords, cts) = pending_tile(&dram, p.base, p.blocks, p.producer);
-            let opened = datapath.open_blocks(&coords, &cts);
-            let mut read_blocks = Vec::with_capacity(p.blocks);
-            for (pt, mac) in opened {
-                read_blocks.push(pt);
-                verifier.on_first_read(&mac);
-            }
-            let acc_back = blocks_to_accum(&read_blocks, p.k, p.h, p.w);
-            activ = requantize_shift(&acc_back, shift);
-        }
-
-        // Compute in the layer's channel-group order (real tiled math).
-        let acc = qconv2d_grouped(&activ, &layer.weights, layer.stride, &layer.channel_groups);
-        let (k, h, w) = (acc.k, acc.h, acc.w);
-
-        // Evict the output tensor to untrusted DRAM: encrypt + MAC the
-        // whole tile in one batch, then store sequentially.
-        let blocks = accum_to_blocks(&acc);
-        let coords = tile_coords(li, li, 1, blocks.len());
-        let sealed = datapath.seal_blocks(&coords, &blocks);
-        for (i, (ct, mac)) in sealed.into_iter().enumerate() {
-            dram.store(base_addr + i as u64 * 64, ct);
-            verifier.on_write(&mac);
-        }
-
-        // The previous layer's ifmap is fully first-read: close its
-        // boundary equation.
-        if !verifier.end_layer().is_verified() {
-            return Err(InferError::IntegrityBreach {
-                producer_layer: li.saturating_sub(1),
-            });
-        }
-
-        // The adversary strikes while the tensor sits in DRAM.
-        if let Some((target_layer, block)) = attack {
-            if target_layer == li {
-                dram.tamper_bit(base_addr + (block % blocks.len() as u64) * 64, 3, 6);
-            }
-        }
-
-        pending = Some(Pending {
-            base: base_addr,
-            blocks: blocks.len(),
-            k,
-            h,
-            w,
-            producer: li,
-        });
-        base_addr += blocks.len() as u64 * 64;
-    }
-
-    // The host drains the final output, closing the last layer's check.
-    if let Some(p) = pending.take() {
-        let (coords, cts) = pending_tile(&dram, p.base, p.blocks, p.producer);
-        let opened = datapath.open_blocks(&coords, &cts);
-        let mut read_blocks = Vec::with_capacity(p.blocks);
-        for (pt, mac) in opened {
-            read_blocks.push(pt);
-            verifier.record_output_drain(&mac);
-        }
-        if !verifier.finish().is_verified() {
-            return Err(InferError::IntegrityBreach {
-                producer_layer: p.producer,
-            });
-        }
-        let acc_back = blocks_to_accum(&read_blocks, p.k, p.h, p.w);
-        activ = requantize_shift(&acc_back, shift);
-    }
-    Ok(activ)
 }
 
 // ---------------------------------------------------------------------------
@@ -654,9 +489,8 @@ pub(crate) fn open_journaled_cursor(
 
 /// Executes and commits exactly one layer of a journaled run.
 ///
-/// Unlike [`infer_protected`], which fails the whole run on the first
-/// bad MAC, each layer is verified eagerly: it writes *two* versions of
-/// its output (a partial accumulation, then the final tensor at the same
+/// Each layer is verified eagerly: it writes *two* versions of its
+/// output (a partial accumulation, then the final tensor at the same
 /// addresses under the next VN), so the consumer's first reads close
 /// `MAC_W = MAC_FR ⊕ MAC_R` before the data feeds the next layer. A
 /// detected breach climbs the recovery ladder:
@@ -1211,6 +1045,7 @@ pub(crate) fn open_resume_cursor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultSpec, Persistence};
 
     fn network() -> Vec<QConvLayer> {
         vec![
@@ -1249,43 +1084,33 @@ mod tests {
     }
 
     #[test]
-    fn protected_inference_is_bit_identical_to_plain() {
-        let layers = network();
-        let plain = infer_plain(&layers, &input(), 6);
-        let protected = infer_protected(&layers, &input(), 6, DeviceSecret::from_seed(8), 1, None)
-            .expect("clean protected run verifies");
-        assert_eq!(
-            plain, protected,
-            "encryption must be transparent to the arithmetic"
-        );
-    }
-
-    #[test]
-    fn tamper_on_any_layer_is_detected() {
-        let layers = network();
-        for target in 0..layers.len() as u32 {
-            let result = infer_protected(
-                &layers,
-                &input(),
-                6,
-                DeviceSecret::from_seed(8),
-                2,
-                Some((target, 5)),
-            );
-            assert!(
-                matches!(result, Err(InferError::IntegrityBreach { .. })),
-                "tamper on layer {target} must be detected, got {result:?}"
-            );
-        }
-    }
-
-    #[test]
     fn accumulator_block_serialization_roundtrips() {
         let layers = network();
         let acc = qconv2d(&input(), &layers[0].weights, 1);
         let blocks = accum_to_blocks(&acc);
         let back = blocks_to_accum(&blocks, acc.k, acc.h, acc.w);
         assert_eq!(acc, back);
+    }
+
+    /// One journaled run on a fresh journal and pad tracker, with no
+    /// power-cut clock.
+    fn journaled(
+        layers: &[QConvLayer],
+        x: &QTensor3,
+        session: &SecureSession,
+        injector: Option<&mut FaultInjector>,
+    ) -> Result<JournaledRun, JournaledError> {
+        infer_journaled(
+            layers,
+            x,
+            session,
+            &mut DurableState::default(),
+            &mut Instruments {
+                tracker: &mut PadTracker::new(),
+                injector,
+                clock: None,
+            },
+        )
     }
 
     #[test]
@@ -1297,24 +1122,47 @@ mod tests {
             QConvLayer::fully_connected(QTensor4::seeded(4, 8, 1, 1, 7)),
         ];
         let x = QTensor3::seeded(16, 1, 1, 31);
-        let plain = infer_plain(&layers, &x, 5);
-        let protected =
-            infer_protected(&layers, &x, 5, DeviceSecret::from_seed(12), 3, None).unwrap();
-        assert_eq!(plain, protected);
-        // And an attack on the hidden activations is still detected.
-        let attacked =
-            infer_protected(&layers, &x, 5, DeviceSecret::from_seed(12), 4, Some((1, 0)));
-        assert!(attacked.is_err());
+        let session = SecureSession {
+            secret: DeviceSecret::from_seed(12),
+            nonce: 3,
+            shift: 5,
+            policy: RecoveryPolicy::default(),
+        };
+        let run = journaled(&layers, &x, &session, None).unwrap();
+        assert_eq!(run.output, infer_plain(&layers, &x, 5));
+        // And a relentless attack on the hidden activations releases no
+        // output.
+        let mut injector = FaultInjector::new(
+            4,
+            vec![FaultSpec {
+                kind: FaultKind::BitFlip,
+                persistence: Persistence::Relentless,
+                layer: 1,
+                block: 0,
+            }],
+        );
+        let attacked = journaled(&layers, &x, &session, Some(&mut injector));
+        assert!(
+            matches!(attacked, Err(JournaledError::Aborted(_))),
+            "{attacked:?}"
+        );
     }
 
     #[test]
     fn different_nonces_give_same_plaintext_results() {
         let layers = network();
-        let a =
-            infer_protected(&layers, &input(), 6, DeviceSecret::from_seed(8), 10, None).unwrap();
-        let b =
-            infer_protected(&layers, &input(), 6, DeviceSecret::from_seed(8), 11, None).unwrap();
-        assert_eq!(a, b, "re-keying must not change the computation");
+        let session = |nonce| SecureSession {
+            secret: DeviceSecret::from_seed(8),
+            nonce,
+            shift: 6,
+            policy: RecoveryPolicy::default(),
+        };
+        let a = journaled(&layers, &input(), &session(10), None).unwrap();
+        let b = journaled(&layers, &input(), &session(11), None).unwrap();
+        assert_eq!(
+            a.output, b.output,
+            "re-keying must not change the computation"
+        );
     }
 
     // ---- journaled / crash-consistent drivers ----

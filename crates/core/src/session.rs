@@ -742,7 +742,9 @@ impl SessionManager {
 
     /// Backoff → Running once the backoff expires: resume from the
     /// tenant's own journal (repair, rollback walk, fresh epoch) with
-    /// the next scripted cut armed.
+    /// the next scripted cut armed. The attempt runs in RAM: a durable
+    /// tenant's home was dropped by [`Self::handle_failure`] before it
+    /// parked, so there is no disk to sync.
     fn wake_backoff(
         t: &mut Tenant,
         policy: &RobustnessPolicy,
@@ -774,35 +776,7 @@ impl SessionManager {
             )
         };
         match result {
-            Ok(cursor) => {
-                // A durable tenant's resumed epoch obeys the same
-                // write-ahead rule promotion does: the fresh `EpochOpen`
-                // must be on media before its first pad is consumed.
-                let id = t.id;
-                let sync = match t.home.as_mut() {
-                    Some(h) => match (h.vfs.as_mut(), h.home.as_mut()) {
-                        (Some(vfs), Some(home)) => home
-                            .sync_journal(
-                                vfs,
-                                &t.durable.journal,
-                                cursor.next_layer(),
-                                &mut t.clock.as_mut(),
-                                &mut h.stats,
-                            )
-                            .map_err(|err| home_error(id, err)),
-                        _ => Ok(()),
-                    },
-                    None => Ok(()),
-                };
-                match sync {
-                    Ok(()) => t.state = TenantState::Running(Box::new(cursor)),
-                    Err(e) => {
-                        *faulty = true;
-                        let commits = t.commits;
-                        Self::handle_failure(t, e, commits, round, policy, stats);
-                    }
-                }
-            }
+            Ok(cursor) => t.state = TenantState::Running(Box::new(cursor)),
             Err(e) => {
                 *faulty = true;
                 let commits = t.commits;
@@ -859,10 +833,8 @@ impl SessionManager {
 
     /// Promotion path for a durable tenant: open (or restart-resume) the
     /// on-disk [`DurableHome`], adopt its reconstructed durable state
-    /// and preloaded pad oracle, open the cursor — journaled on an empty
-    /// journal, resume otherwise — and write the `EpochOpen` record
-    /// ahead: it must be durable before the first pad of its epoch is
-    /// consumed, or a crash could replay the epoch.
+    /// and preloaded pad oracle, and open the cursor through the home,
+    /// which writes the `EpochOpen` record ahead of the first pad.
     fn open_home_cursor(t: &mut Tenant) -> Result<JournaledCursor, JournaledError> {
         let id = t.id;
         let h = t.home.as_mut().expect("durable tenants only");
@@ -877,45 +849,22 @@ impl SessionManager {
             t.durable = opened.durable;
             t.tracker = opened.tracker;
             h.home = Some(opened.home);
-            if opened.prior_records > 0 {
-                h.stats.restart_resumes += 1;
-                telemetry::incr(Counter::RestartResumes);
-            }
         }
-        let cursor = if t.durable.journal.is_empty() {
-            let mut clock = t.clock.as_mut();
-            open_journaled_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut clock,
-                &mut t.schedules,
-            )?
-        } else {
-            let mut instruments = Instruments {
+        let home = h.home.as_mut().expect("home opened above");
+        home.open_cursor(
+            vfs,
+            &t.input,
+            &t.session,
+            &mut t.durable,
+            &mut Instruments {
                 tracker: &mut t.tracker,
                 injector: t.injector.as_mut(),
                 clock: t.clock.as_mut(),
-            };
-            open_resume_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut instruments,
-                None,
-                &mut t.schedules,
-            )?
-        };
-        let home = h.home.as_mut().expect("home opened above");
-        home.sync_journal(
-            vfs,
-            &t.durable.journal,
-            cursor.next_layer(),
-            &mut t.clock.as_mut(),
+            },
+            &mut t.schedules,
             &mut h.stats,
         )
-        .map_err(|e| home_error(id, e))?;
-        Ok(cursor)
+        .map_err(|e| home_error(id, e))
     }
 
     /// Checkpoints a durable tenant's freshly committed layer to disk —

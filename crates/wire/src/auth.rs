@@ -13,6 +13,7 @@
 //! The daemon compares tags in constant time: an attacker probing one
 //! byte at a time learns nothing from the rejection latency.
 
+use seculator_core::splitmix;
 use seculator_crypto::keys::DeviceSecret;
 use seculator_crypto::Sha256;
 
@@ -57,16 +58,6 @@ pub fn wire_identity(seed: u64) -> (DeviceSecret, u64) {
     let root = DeviceSecret::from_seed(splitmix(&mut rng));
     let base_nonce = splitmix(&mut rng);
     (root, base_nonce)
-}
-
-/// The repo-standard splitmix64 stream step (private per crate: the
-/// core keeps its own copy crate-private).
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

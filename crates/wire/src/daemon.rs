@@ -35,12 +35,13 @@ use std::sync::Arc;
 
 use seculator_core::telemetry::{self, Counter};
 use seculator_core::{
-    campaign_models, output_digest, AdmitSpec, CampaignModel, FaultInjector, JournaledError,
-    QConvLayer, RecoveryPolicy, SecurityError, SessionManager, SessionOutcome, SessionVerdict,
+    campaign_models, output_digest, splitmix, AdmitSpec, CampaignModel, FaultInjector,
+    JournaledError, QConvLayer, RecoveryPolicy, SecurityError, SessionManager, SessionOutcome,
+    SessionVerdict,
 };
 use seculator_crypto::keys::DeviceSecret;
 
-use crate::auth::{auth_tag, splitmix, tags_equal, wire_identity};
+use crate::auth::{auth_tag, tags_equal, wire_identity};
 use crate::msg::{Message, RequestState};
 use crate::transport::ConnId;
 

@@ -21,11 +21,11 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::auth::splitmix;
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::frame::{decode_frame, encode_frame, WireError};
 use crate::msg::Message;
 use crate::transport::{ConnId, Wire};
+use seculator_core::splitmix;
 
 /// The in-process network: one daemon, many loopback connections,
 /// seeded delivery order.

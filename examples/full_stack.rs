@@ -3,8 +3,8 @@
 //! int8 convolutions on the compute substrate, every inter-layer tensor
 //! crosses adversary-controlled DRAM under AES-CTR + layer-level XOR-MACs
 //! (§6.3–6.4), and the final answer is bit-identical to an unprotected
-//! run — unless the adversary touches anything, in which case the breach
-//! is detected and the system "reboots" and retries.
+//! run — even when the adversary corrupts a stored tensor: the breach is
+//! detected at the producing layer's boundary and the layer re-executes.
 //!
 //! ```sh
 //! cargo run --release --example full_stack
@@ -13,7 +13,11 @@
 use seculator::arch::pattern::PatternSpec;
 use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::command::{Command, HostChannel, NpuCommandProcessor};
-use seculator::core::secure_infer::{infer_plain, infer_protected, QConvLayer};
+use seculator::core::journal::{DurableState, PadTracker};
+use seculator::core::secure_infer::{
+    infer_journaled, infer_plain, Instruments, QConvLayer, RecoveryPolicy, SecureSession,
+};
+use seculator::core::{FaultInjector, FaultKind, FaultSpec, Persistence};
 use seculator::crypto::keys::{DeviceSecret, SessionKey};
 
 fn network() -> Vec<QConvLayer> {
@@ -61,34 +65,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── 2. Clean protected inference ──
     let reference = infer_plain(&layers, &input, SHIFT);
-    let protected = infer_protected(&layers, &input, SHIFT, secret, /*nonce*/ 1, None)?;
-    assert_eq!(reference, protected);
+    let clean = SecureSession {
+        secret,
+        nonce: 1,
+        shift: SHIFT,
+        policy: RecoveryPolicy::default(),
+    };
+    let protected = infer_journaled(
+        &layers,
+        &input,
+        &clean,
+        &mut DurableState::default(),
+        &mut Instruments {
+            tracker: &mut PadTracker::new(),
+            injector: None,
+            clock: None,
+        },
+    )?;
+    assert_eq!(reference, protected.output);
     println!(
         "protected inference: bit-identical to the unprotected run \
-         ({}×{}×{} output)",
-        protected.c, protected.h, protected.w
+         ({}×{}×{} output, {} layer commits)",
+        protected.output.c, protected.output.h, protected.output.w, protected.commits
     );
 
-    // ── 3. Under attack: detect, reboot, retry with a fresh key ──
-    let mut nonce = 2u64;
-    let mut attempts = 0;
-    let result = loop {
-        attempts += 1;
-        // The adversary corrupts layer 1's encrypted output on the first
-        // two attempts, then gives up.
-        let attack = (attempts <= 2).then_some((1u32, 7u64));
-        match infer_protected(&layers, &input, SHIFT, secret, nonce, attack) {
-            Ok(out) => break out,
-            Err(e) => {
-                println!("attempt {attempts}: {e} → reboot, re-key, retry");
-                nonce += 1; // fresh execution key after the reboot
-            }
-        }
-    };
-    assert_eq!(result, reference);
+    // ── 3. Under attack: detect at the layer boundary, re-execute ──
+    // The adversary flips a bit of layer 1's stored output. The
+    // consumer's first reads break MAC_W = MAC_FR ⊕ MAC_R; a re-fetch
+    // returns the same bad bytes, so the ladder redoes the layer under
+    // fresh version numbers.
+    let mut adversary = FaultInjector::new(
+        7,
+        vec![FaultSpec {
+            kind: FaultKind::BitFlip,
+            persistence: Persistence::Persistent,
+            layer: 1,
+            block: 7,
+        }],
+    );
+    let attacked = infer_journaled(
+        &layers,
+        &input,
+        &SecureSession { nonce: 2, ..clean },
+        &mut DurableState::default(),
+        &mut Instruments {
+            tracker: &mut PadTracker::new(),
+            injector: Some(&mut adversary),
+            clock: None,
+        },
+    )?;
+    assert!(adversary.injections() > 0, "the adversary must strike");
+    assert_eq!(attacked.output, reference);
     println!(
-        "attack survived: correct answer delivered after {attempts} attempts \
-         (2 breaches detected, nothing incorrect ever left protected memory)"
+        "attack survived: breach at layer 1 detected and recovered \
+         (re-fetches: {}, re-executions: {}); nothing incorrect ever left \
+         protected memory",
+        attacked.incidents.refetches(),
+        attacked.incidents.reexecutions()
     );
 
     // ── 4. A forged command never reaches the datapath ──

@@ -19,20 +19,9 @@ use std::path::Path;
 use std::process::Command;
 
 use seculator::core::{
-    audit_home, campaign_models, infer_plain, output_digest, tamper_frame_fix_crc, CampaignModel,
-    RestartPolicy, StdVfs, FILE_MAGIC, JOURNAL_FILE,
+    audit_home, campaign_models, infer_plain, output_digest, splitmix, tamper_frame_fix_crc,
+    CampaignModel, RestartPolicy, StdVfs, FILE_MAGIC, JOURNAL_FILE,
 };
-
-/// Local copy of the repo-wide splitmix64 stream (`core::fault` keeps
-/// its instance crate-private); same constants, so seeds documented for
-/// one campaign read the same everywhere.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What the parent does to the on-disk home between the kill and the
 /// first resume.

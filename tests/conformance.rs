@@ -8,33 +8,19 @@ use seculator::core::journal::{campaign_models, DurableState, PadTracker};
 use seculator::core::secure_infer::Instruments;
 use seculator::core::TimingNpu;
 use seculator::core::{
-    infer_journaled, infer_plain, infer_protected_mode, infer_resume, CrashClock, DatapathMode,
-    JournaledError, PatternCounter,
+    infer_journaled, infer_plain, infer_resume, CrashClock, JournaledError, PatternCounter,
 };
 use seculator::models::zoo;
 
-/// Every zoo model, four datapaths, one answer: plaintext reference,
-/// protected inference over the serial and parallel crypto datapaths,
-/// and the journaled detect-and-recover driver.
+/// The first two datapaths: every zoo model's plaintext reference and
+/// its journaled detect-and-recover run give one answer. Serial and
+/// parallel crypto agree per tile, on every backend, in
+/// `every_backend_seals_and_opens_every_zoo_model_bit_identically` and
+/// `tests/prop_parallel.rs`.
 #[test]
 fn every_zoo_model_is_bit_identical_across_all_datapaths() {
     for m in campaign_models() {
         let expected = infer_plain(&m.layers, &m.input, m.session.shift);
-
-        for mode in [DatapathMode::Serial, DatapathMode::Parallel] {
-            let out = infer_protected_mode(
-                &m.layers,
-                &m.input,
-                m.session.shift,
-                m.session.secret,
-                m.session.nonce,
-                None,
-                mode,
-            )
-            .unwrap_or_else(|e| panic!("{}: protected ({mode:?}) failed: {e}", m.name));
-            assert_eq!(out, expected, "{}: protected {mode:?} diverged", m.name);
-        }
-
         let journaled = infer_journaled(
             &m.layers,
             &m.input,
@@ -51,7 +37,7 @@ fn every_zoo_model_is_bit_identical_across_all_datapaths() {
     }
 }
 
-/// The fourth datapath: journaled inference cut by a power loss halfway
+/// The third datapath: journaled inference cut by a power loss halfway
 /// through its instant space, then resumed. The stitched run must still
 /// be bit-identical to the plaintext reference on every model.
 #[test]
@@ -116,7 +102,7 @@ fn every_zoo_model_survives_a_mid_run_cut_bit_identically() {
     }
 }
 
-/// The fifth datapath: inference scheduled by the chaos-hardened
+/// The fourth datapath: inference scheduled by the chaos-hardened
 /// multi-session scheduler. A healthy tenant co-resident with a
 /// relentless DRAM adversary (driven into quarantine) and a crash-cut
 /// tenant (recovered through a session retry) must still be
@@ -248,7 +234,7 @@ fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
     }
 }
 
-/// The sixth datapath: batched multi-tenant inference. Three tenants
+/// The fifth datapath: batched multi-tenant inference. Three tenants
 /// sharing one Arc'd weight set arrive in the same round, so every
 /// scheduler round steps all three at the same layer (weights shared,
 /// MAC registers / VN-FSM / journal / nonce space strictly per-tenant).
@@ -311,7 +297,7 @@ fn batched_multi_tenant_sessions_match_the_plaintext_reference() {
 /// their scalar remainders are both on trial.
 #[test]
 fn every_backend_seals_and_opens_every_zoo_model_bit_identically() {
-    use seculator::core::{BlockCoords, CryptoDatapath};
+    use seculator::core::{BlockCoords, CryptoDatapath, DatapathMode};
     use seculator::crypto::backend;
 
     for m in campaign_models() {
@@ -461,7 +447,7 @@ fn every_backend_resumes_a_cut_inference_bit_identically() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
-/// The seventh datapath: inference served over the `SWP1` wire. One
+/// The sixth datapath: inference served over the `SWP1` wire. One
 /// loopback daemon, one authenticated client per zoo model (tenant i
 /// runs model i), every answer crossing the wire as real CRC32-framed
 /// bytes — and every wire-delivered output must be bit-identical to

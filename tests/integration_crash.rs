@@ -1,6 +1,6 @@
 //! End-to-end crash consistency: power loss at *every* interruptible
-//! instant of a protected inference, freshness-preserving resume, and
-//! the full default crash campaign.
+//! instant of a protected inference, freshness-preserving resume, the
+//! full default crash campaign, and the durable write-ahead rule.
 
 use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::journal::{run_crash_campaign, CrashCampaignConfig, DurableState, PadTracker};
@@ -8,8 +8,12 @@ use seculator::core::secure_infer::{
     infer_journaled, infer_plain, infer_resume, Instruments, JournaledError, QConvLayer,
     RecoveryPolicy, SecureSession,
 };
-use seculator::core::CrashClock;
+use seculator::core::{
+    audit_home, campaign_models, run_persistent, AdmitSpec, CrashClock, CrashPhase, DurableError,
+    FaultVfs, PersistentStats, SessionManager, SessionVerdict, StdVfs,
+};
 use seculator::crypto::DeviceSecret;
+use std::sync::Arc;
 
 fn mlp() -> (Vec<QConvLayer>, QTensor3, SecureSession) {
     let layers = vec![
@@ -123,4 +127,83 @@ fn default_crash_campaign_passes_the_acceptance_bar() {
         report.ladder.resumes as usize >= report.trials.len() / 2,
         "most trials resume at least once"
     );
+}
+
+/// The write-ahead rule, through both durable drivers: an epoch's
+/// `EpochOpen` record is on media before the first pad of that epoch is
+/// consumed. On the mlp campaign model's fresh home the in-RAM append
+/// takes 30 beats and its disk frame 31, so a cut at instant 61 (the
+/// first `Compute` tick) must find epoch 0 durable, and a cut at instant
+/// 60 (the frame's last `Checkpoint` beat) must find no epoch at all.
+#[test]
+fn the_epoch_open_record_is_durable_before_the_first_pad() {
+    let m = campaign_models()
+        .into_iter()
+        .find(|m| m.name == "mlp")
+        .expect("the campaign includes the mlp model");
+    for (cut, phase, durable_epochs) in [
+        (60, CrashPhase::Checkpoint, vec![]),
+        (61, CrashPhase::Compute, vec![0u32]),
+    ] {
+        // `run_persistent` over the in-memory file system; the power cut
+        // drops every byte that was not fsynced.
+        let mut vfs = FaultVfs::new();
+        let err = run_persistent(
+            &m.layers,
+            &m.input,
+            &m.session,
+            &mut vfs,
+            Some(&mut CrashClock::armed(cut)),
+            &mut PersistentStats::default(),
+        )
+        .expect_err("an armed cut crashes the run");
+        let DurableError::Crashed(loss) = err else {
+            panic!("cut {cut}: expected a crash, got {err}");
+        };
+        assert_eq!(loss.phase, phase, "cut {cut}");
+        vfs.power_cut();
+        let audit = audit_home(&mut vfs, &m.session).expect("audit");
+        assert_eq!(
+            audit.journal_epochs, durable_epochs,
+            "run_persistent, cut {cut}"
+        );
+
+        // A durable scheduler tenant over a real directory.
+        let dir = std::env::temp_dir().join(format!(
+            "seculator-write-ahead-{}-{cut}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("scratch home");
+        let mut mgr = SessionManager::new(
+            DeviceSecret::from_seed(7),
+            99,
+            m.session.shift,
+            RecoveryPolicy::default(),
+            1,
+        );
+        mgr.admit(AdmitSpec {
+            tenant: 0,
+            name: m.name.to_owned(),
+            layers: Arc::new(m.layers.clone()),
+            input: m.input.clone(),
+            arrival_round: 0,
+            injector: None,
+            deadline_rounds: None,
+            crash_cuts: vec![cut],
+            nonce_salt: 0,
+            home_dir: Some(dir.clone()),
+        });
+        let report = mgr.run();
+        match &report.outcomes[0].verdict {
+            SessionVerdict::Aborted(e) => assert!(
+                matches!(&**e, JournaledError::Crashed(l) if l.phase == phase),
+                "cut {cut}: {e}"
+            ),
+            other => panic!("cut {cut}: expected a crash abort, got {other:?}"),
+        }
+        let mut disk = StdVfs::create(&dir).expect("home directory");
+        let audit = audit_home(&mut disk, &mgr.derived_session(0)).expect("audit");
+        assert_eq!(audit.journal_epochs, durable_epochs, "scheduler, cut {cut}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

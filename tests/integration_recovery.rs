@@ -169,31 +169,37 @@ fn relentless_fault_aborts_gracefully_with_audit_record() {
     assert!(text.contains("inference aborted"), "{text}");
 }
 
+/// With no recovery budget, a fault on any layer — of any persistence
+/// class — is detected at that layer's boundary and aborts there.
 #[test]
 fn zero_recovery_policy_turns_any_fault_into_an_abort() {
-    let spec = FaultSpec {
-        kind: FaultKind::BitFlip,
-        persistence: Persistence::TransientRead,
-        layer: 0,
-        block: 0,
-    };
-    let mut injector = FaultInjector::new(5, vec![spec]);
     let policy = RecoveryPolicy {
         max_refetches: 0,
         max_reexecutions: 0,
     };
-    let abort = expect_abort(
-        run(12, policy, Some(&mut injector)),
-        "no recovery budget, no recovery",
-    );
-    assert!(matches!(
-        abort.error,
-        SecurityError::RecoveryExhausted {
-            refetches: 0,
-            reexecutions: 0,
-            ..
+    for layer in 0..net().len() as u32 {
+        for persistence in Persistence::ALL {
+            let spec = FaultSpec {
+                kind: FaultKind::BitFlip,
+                persistence,
+                layer,
+                block: 0,
+            };
+            let mut injector = FaultInjector::new(5, vec![spec]);
+            let result = run(12, policy, Some(&mut injector));
+            assert!(injector.injections() > 0, "fault must fire: {spec}");
+            let abort = expect_abort(result, "no recovery budget, no recovery");
+            assert_eq!(
+                abort.error,
+                SecurityError::RecoveryExhausted {
+                    layer_id: layer,
+                    refetches: 0,
+                    reexecutions: 0,
+                },
+                "{spec}"
+            );
         }
-    ));
+    }
 }
 
 #[test]
