@@ -1288,7 +1288,9 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
 }
 
 fn serve_exp(quick: bool, check: bool) {
-    use seculator_core::{campaign_models, infer_plain, AdmitSpec, SessionManager, SessionVerdict};
+    use seculator_core::{
+        campaign_models, infer_plain, splitmix, AdmitSpec, SessionManager, SessionVerdict,
+    };
 
     println!("Multi-session scheduler sweep: each point admits N tenant sessions");
     println!("of the same model under a seeded open-loop arrival process (one");
@@ -1299,15 +1301,8 @@ fn serve_exp(quick: bool, check: bool) {
     println!("opened); service latency (promotion→done) and scheduler queue");
     println!("delay (arrival→promotion) are separate distributions.\n");
 
-    // splitmix64: the arrival trace must be reproducible per point, so
-    // every rep of a point replays the same arrival rounds.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    // The arrival trace must be reproducible per point, so every rep of
+    // a point replays the same arrival rounds from one splitmix stream.
     const ARRIVAL_SEED: u64 = 0x5EC0_1A70;
 
     let reps: u32 = if quick { 16 } else { 32 };
@@ -1367,7 +1362,7 @@ fn serve_exp(quick: bool, check: bool) {
         for tenant in 0..n as u32 {
             // Open-loop arrivals: cumulative 0/1-round gaps, so bursts
             // of tenants arrive together and contend for admission.
-            arrival += mix(&mut rng) % 2;
+            arrival += splitmix(&mut rng) % 2;
             mgr.admit(AdmitSpec {
                 tenant,
                 name: model.name.to_string(),
@@ -1563,8 +1558,7 @@ sessions (≤10%) — OK",
 }
 
 fn daemon_exp(quick: bool, check: bool) {
-    use seculator_client::{run_daemon_campaign, DaemonCampaignConfig};
-    use seculator_core::{run_serve_campaign, ServeCampaignConfig};
+    use seculator_campaigns::{run_daemon_campaign, run_serve_campaign, Report};
 
     println!("Closed-loop daemon load test over the deterministic loopback wire:");
     println!("every client is a real `seculator-client` speaking SWP1 frames");
@@ -1579,12 +1573,7 @@ fn daemon_exp(quick: bool, check: bool) {
     let load_requests: u32 = if quick { 2 } else { 6 };
     let clients = sessions - 1; // every tenant but the planted tampered one
 
-    let report = run_daemon_campaign(&DaemonCampaignConfig {
-        seed: DAEMON_SEED,
-        sessions,
-        home_root: None,
-        load_requests,
-    });
+    let report = run_daemon_campaign(DAEMON_SEED, sessions, None, load_requests);
     assert!(
         report.passed(),
         "daemon campaign failed:\n{}",
@@ -1594,10 +1583,7 @@ fn daemon_exp(quick: bool, check: bool) {
     // Same-seed anchor: the serve campaign checks its tenants against
     // the identical solo journaled references, so daemon ≡ serve by
     // transitivity through those references.
-    let anchor = run_serve_campaign(&ServeCampaignConfig {
-        seed: DAEMON_SEED,
-        sessions,
-    });
+    let anchor = run_serve_campaign(DAEMON_SEED, sessions);
     assert!(
         anchor.passed(),
         "same-seed serve campaign failed:\n{}",

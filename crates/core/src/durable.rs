@@ -23,12 +23,14 @@
 //!   rename). The ledger is what makes the pad-reuse oracle survive
 //!   restarts: reopening preloads the [`PadTracker`] with every pad any
 //!   earlier process life issued.
-//! - A **persistent run driver** ([`run_persistent`]) and an in-process
-//!   **restart campaign** ([`run_restart_vfs_campaign`]) that kills the
-//!   engine at seeded instants (including mid-append, leaving real torn
-//!   frames on disk), drops the simulated page cache, reopens, and
-//!   asserts bit-identical outputs, zero pad reuse, and typed refusal of
-//!   every injected corruption.
+//! - A **persistent run driver** ([`run_persistent`]), a cross-restart
+//!   freshness audit ([`audit_home`]) and the deliberate-tamper adversary
+//!   ([`tamper_frame_fix_crc`]). The restart campaign in the
+//!   `seculator-campaigns` crate drives them: it kills the engine at
+//!   seeded instants (including mid-append, leaving real torn frames on
+//!   disk), drops the simulated page cache, reopens, and asserts
+//!   bit-identical outputs, zero pad reuse, and typed refusal of every
+//!   injected corruption.
 //!
 //! Write ordering (the fsync discipline, DESIGN.md §14): the `EpochOpen`
 //! record is fsynced *before* the first pad of its epoch is consumed —
@@ -38,14 +40,11 @@
 //! order is safe to crash out of.
 
 use crate::error::SecurityError;
-use crate::fault::{splitmix, CrashClock, CrashPhase, PowerLoss};
-use crate::journal::{
-    campaign_models, CampaignModel, DurableState, JournalStore, PadTracker, RECORD_BYTES,
-};
-use crate::retry::RestartPolicy;
+use crate::fault::{CrashClock, CrashPhase, PowerLoss};
+use crate::journal::{DurableState, JournalStore, PadTracker, RECORD_BYTES};
 use crate::secure_infer::{
-    infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer, AbortReport,
-    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, SecureSession,
+    open_journaled_cursor, open_resume_cursor, step_journaled_layer, AbortReport, Instruments,
+    JournaledCursor, JournaledError, JournaledRun, QConvLayer, SecureSession,
 };
 use crate::secure_memory::{Block, BlockCoords, DatapathCache, UntrustedDram};
 use crate::telemetry;
@@ -724,14 +723,6 @@ impl PersistentStats {
     fn resumed(&mut self) {
         self.restart_resumes += 1;
         telemetry::incr(telemetry::Counter::RestartResumes);
-    }
-
-    /// Element-wise accumulation.
-    pub fn absorb(&mut self, other: &PersistentStats) {
-        self.fsyncs += other.fsyncs;
-        self.snapshots_compacted += other.snapshots_compacted;
-        self.torn_tails_repaired += other.torn_tails_repaired;
-        self.restart_resumes += other.restart_resumes;
     }
 }
 
@@ -1431,180 +1422,12 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// In-process restart campaign (FaultVfs)
+// The deliberate-tamper adversary
 // ---------------------------------------------------------------------------
 
-/// Restart-campaign parameters; every random choice derives from `seed`
-/// via splitmix64, so reports are byte-identical per seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartCampaignConfig {
-    /// Root seed.
-    pub seed: u64,
-    /// Seeded kill instants swept per model.
-    pub cuts_per_model: u32,
-}
-
-impl Default for RestartCampaignConfig {
-    fn default() -> Self {
-        Self {
-            seed: 42,
-            cuts_per_model: 14,
-        }
-    }
-}
-
-/// What the adversary (or the medium) does around the process death.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartVariant {
-    /// Kill, reopen, resume. Must be bit-exact.
-    Pure,
-    /// Kill the resume too; the third life must still converge.
-    DoubleKill,
-    /// Seeded VFS faults (short writes, lying fsyncs, torn renames)
-    /// during the resumed lives; bounded retries must converge bit-exact.
-    VfsFaults,
-    /// Flip one stable bit of the journal file. Reopen must refuse with
-    /// the typed *corruption* verdict — or, if the flip landed in the
-    /// torn tail, repair benignly and finish bit-exact.
-    BitRot,
-    /// Flip a sealed-payload byte *and fix the frame CRC*. The framing
-    /// is now consistent, so only the device-secret tag can catch it:
-    /// reopen must refuse with the typed *tamper* verdict.
-    TamperCrcFixed,
-    /// Truncate the journal file at a seeded offset (rollback attack).
-    /// Must finish bit-exact or fail closed on pad reuse via the
-    /// ledger-reseeded oracle.
-    TruncateTail,
-    /// Flip a DRAM-snapshot byte and fix the CRC. DRAM is untrusted:
-    /// the MAC machinery must roll back and still finish bit-exact.
-    TamperDram,
-}
-
-impl RestartVariant {
-    /// All variants, rotation order.
-    pub const ALL: [Self; 7] = [
-        Self::Pure,
-        Self::DoubleKill,
-        Self::VfsFaults,
-        Self::BitRot,
-        Self::TamperCrcFixed,
-        Self::TruncateTail,
-        Self::TamperDram,
-    ];
-
-    /// Display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Pure => "pure",
-            Self::DoubleKill => "double-kill",
-            Self::VfsFaults => "vfs-faults",
-            Self::BitRot => "bit-rot",
-            Self::TamperCrcFixed => "tamper-crc-fixed",
-            Self::TruncateTail => "truncate-tail",
-            Self::TamperDram => "tamper-dram",
-        }
-    }
-}
-
-/// One restart trial's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartTrial {
-    /// Model name.
-    pub model: &'static str,
-    /// Kill instant (step index into the calibrated instant space).
-    pub cut: u64,
-    /// Adversary variant.
-    pub variant: RestartVariant,
-    /// Process lives spent after the first kill (resume attempts).
-    pub resumes: u32,
-    /// Stable outcome label (`bit-exact`, `refused:<class>`, ...).
-    pub outcome: String,
-    /// Armed VFS faults that actually fired during this trial.
-    pub faults_fired: u64,
-    /// Whether the trial met its variant's acceptance bar.
-    pub pass: bool,
-}
-
-/// The in-process restart campaign's report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartVfsReport {
-    /// Root seed.
-    pub seed: u64,
-    /// Interruptible-instant space per model, calibration order.
-    pub instants: Vec<(&'static str, u64)>,
-    /// Every trial.
-    pub trials: Vec<RestartTrial>,
-    /// Trials that met their bar.
-    pub passes: u32,
-    /// Trials that did not (must be 0).
-    pub failures: u32,
-    /// Refusals with a typed error (detector hits).
-    pub refusals: u32,
-    /// VFS faults that actually fired.
-    pub vfs_faults_fired: u64,
-    /// Durable-layer activity, summed over every process life of every
-    /// trial — conservation-tested against telemetry.
-    pub stats: PersistentStats,
-}
-
-impl RestartVfsReport {
-    /// Whether the campaign met the acceptance bar.
-    #[must_use]
-    pub fn pass(&self) -> bool {
-        self.failures == 0 && !self.trials.is_empty()
-    }
-
-    /// Deterministic human-readable report.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "restart campaign (in-process vfs) seed={}", self.seed);
-        for (model, n) in &self.instants {
-            let _ = writeln!(s, "  model {model}: {n} interruptible instants");
-        }
-        for t in &self.trials {
-            let _ = writeln!(
-                s,
-                "  [{}] {} cut={} variant={} resumes={} outcome={}",
-                if t.pass { "pass" } else { "FAIL" },
-                t.model,
-                t.cut,
-                t.variant.name(),
-                t.resumes,
-                t.outcome
-            );
-        }
-        let _ = writeln!(
-            s,
-            "  totals: trials={} passes={} failures={} refusals={} vfs_faults_fired={}",
-            self.trials.len(),
-            self.passes,
-            self.failures,
-            self.refusals,
-            self.vfs_faults_fired
-        );
-        let _ = writeln!(
-            s,
-            "  durable: fsyncs={} snapshots_compacted={} torn_tails_repaired={} restart_resumes={}",
-            self.stats.fsyncs,
-            self.stats.snapshots_compacted,
-            self.stats.torn_tails_repaired,
-            self.stats.restart_resumes
-        );
-        let _ = writeln!(
-            s,
-            "  verdict: {}",
-            if self.pass() { "PASS" } else { "FAIL" }
-        );
-        s
-    }
-}
-
 /// Flips a payload byte of frame `frame_idx` and fixes the frame CRC —
-/// the deliberate-tamper adversary (shared with the property tests and
-/// the process campaign, which applies it via [`StdVfs`] files).
+/// the deliberate-tamper adversary (shared by the property tests and the
+/// restart campaign, which applies it to [`FaultVfs`] and real files).
 /// Returns `false` when the file has no such frame.
 pub fn tamper_frame_fix_crc(file_bytes: &mut Vec<u8>, frame_idx: usize, byte_seed: u64) -> bool {
     let Ok(scan) = scan_frames("journal", file_bytes) else {
@@ -1625,287 +1448,11 @@ pub fn tamper_frame_fix_crc(file_bytes: &mut Vec<u8>, frame_idx: usize, byte_see
     true
 }
 
-struct TrialCtx<'a> {
-    model: &'a CampaignModel,
-    reference: &'a QTensor3,
-    rng: &'a mut u64,
-    stats: &'a mut PersistentStats,
-}
-
-fn run_restart_trial(ctx: &mut TrialCtx<'_>, cut: u64, variant: RestartVariant) -> RestartTrial {
-    let model = ctx.model;
-    let mut vfs = FaultVfs::new();
-    let policy = RestartPolicy::default();
-
-    // Life 0: armed kill.
-    let mut clock = CrashClock::armed(cut);
-    let first = run_persistent(
-        &model.layers,
-        &model.input,
-        &model.session,
-        &mut vfs,
-        Some(&mut clock),
-        ctx.stats,
-    );
-    if !matches!(first, Err(DurableError::Crashed(_))) {
-        return RestartTrial {
-            model: model.name,
-            cut,
-            variant,
-            resumes: 0,
-            outcome: format!(
-                "calibration-error:{}",
-                first.map_or_else(|e| e.class(), |_| "completed")
-            ),
-            faults_fired: 0,
-            pass: false,
-        };
-    }
-    // Process death: the page cache is gone.
-    vfs.power_cut();
-
-    // Adversary move while the engine is dead.
-    let mut effective = variant;
-    let mut second_cut = None;
-    match variant {
-        RestartVariant::Pure => {}
-        RestartVariant::DoubleKill => {
-            second_cut = Some(splitmix(ctx.rng) % cut.max(1));
-        }
-        RestartVariant::VfsFaults => {
-            // Only the loud (erroring) and lying kinds here: silent
-            // decay (bit-rot, truncation) gets dedicated variants below
-            // where typed refusal is the expected outcome.
-            let base = vfs.ops();
-            let kinds = [
-                VfsFaultKind::ShortWrite,
-                VfsFaultKind::LostFsync,
-                VfsFaultKind::TornRename,
-            ];
-            let faults: Vec<VfsFault> = (0..3)
-                .map(|i| VfsFault {
-                    at_op: base + 1 + splitmix(ctx.rng) % 40,
-                    kind: kinds[(splitmix(ctx.rng) as usize + i) % kinds.len()],
-                    arg: splitmix(ctx.rng),
-                })
-                .collect();
-            vfs.arm(faults);
-        }
-        RestartVariant::BitRot => {
-            if let Some(mut bytes) = vfs.stable_get(JOURNAL_FILE) {
-                if !bytes.is_empty() {
-                    let off = (splitmix(ctx.rng) as usize) % bytes.len();
-                    bytes[off] ^= 1 << (splitmix(ctx.rng) % 8) as u8;
-                    vfs.stable_put(JOURNAL_FILE, bytes);
-                }
-            }
-        }
-        RestartVariant::TamperCrcFixed => {
-            let mut done = false;
-            if let Some(mut bytes) = vfs.stable_get(JOURNAL_FILE) {
-                if let Ok(scan) = scan_frames("journal", &bytes) {
-                    if !scan.frames.is_empty() {
-                        let idx = (splitmix(ctx.rng) as usize) % scan.frames.len();
-                        done = tamper_frame_fix_crc(&mut bytes, idx, splitmix(ctx.rng));
-                        if done {
-                            vfs.stable_put(JOURNAL_FILE, bytes);
-                        }
-                    }
-                }
-            }
-            if !done {
-                effective = RestartVariant::Pure;
-            }
-        }
-        RestartVariant::TruncateTail => {
-            if let Some(mut bytes) = vfs.stable_get(JOURNAL_FILE) {
-                if bytes.len() > FILE_MAGIC.len() {
-                    let span = bytes.len() - FILE_MAGIC.len();
-                    let keep = FILE_MAGIC.len() + (splitmix(ctx.rng) as usize) % span;
-                    bytes.truncate(keep);
-                    vfs.stable_put(JOURNAL_FILE, bytes);
-                }
-            }
-        }
-        RestartVariant::TamperDram => {
-            let mut done = false;
-            if let Some(mut bytes) = vfs.stable_get(DRAM_FILE) {
-                if let Ok(scan) = scan_frames("dram", &bytes) {
-                    // Flip a byte past the block-count header so a block
-                    // or address is hit, then fix the CRC.
-                    if scan.frames.len() == 1 && scan.frames[0].len() > 9 {
-                        let seed = 8 + splitmix(ctx.rng) % (scan.frames[0].len() as u64 - 8);
-                        done = tamper_frame_fix_crc(&mut bytes, 0, seed);
-                        if done {
-                            vfs.stable_put(DRAM_FILE, bytes);
-                        }
-                    }
-                }
-            }
-            if !done {
-                effective = RestartVariant::Pure;
-            }
-        }
-    }
-
-    // Resume lives: bounded by the restart policy; I/O faults and second
-    // kills reopen, security verdicts stop fail-closed.
-    let mut resumes = 0u32;
-    let outcome: String;
-    let mut final_run: Option<PersistentOutcome> = None;
-    loop {
-        if resumes >= policy.max_process_resumes {
-            outcome = "wedged:resume-budget-exhausted".to_owned();
-            break;
-        }
-        resumes += 1;
-        let mut second_clock = second_cut.take().map(CrashClock::armed);
-        let r = run_persistent(
-            &model.layers,
-            &model.input,
-            &model.session,
-            &mut vfs,
-            second_clock.as_mut(),
-            ctx.stats,
-        );
-        match r {
-            Ok(out) => {
-                outcome = if out.run.output == *ctx.reference {
-                    "bit-exact".to_owned()
-                } else {
-                    "WRONG-OUTPUT".to_owned()
-                };
-                final_run = Some(out);
-                break;
-            }
-            Err(DurableError::Crashed(_)) | Err(DurableError::Io(_)) => {
-                vfs.power_cut();
-            }
-            Err(e @ (DurableError::Security(_) | DurableError::Aborted(_))) => {
-                outcome = format!("refused:{}", e.class());
-                break;
-            }
-        }
-    }
-
-    // Freshness audit on every completed trial.
-    let audit_ok = if final_run.is_some() {
-        match audit_home(&mut vfs, &model.session) {
-            Ok(a) => a.duplicate_pads == 0 && a.epochs_strictly_increasing,
-            Err(_) => false,
-        }
-    } else {
-        true
-    };
-
-    let pass = audit_ok
-        && match effective {
-            RestartVariant::Pure
-            | RestartVariant::DoubleKill
-            | RestartVariant::VfsFaults
-            | RestartVariant::TamperDram => outcome == "bit-exact",
-            RestartVariant::BitRot => {
-                outcome == "bit-exact" || outcome == "refused:durable-corruption"
-            }
-            RestartVariant::TamperCrcFixed => outcome == "refused:journal-integrity",
-            RestartVariant::TruncateTail => {
-                outcome == "bit-exact" || outcome == "refused:counter-reuse"
-            }
-        };
-    RestartTrial {
-        model: model.name,
-        cut,
-        variant,
-        resumes,
-        outcome,
-        faults_fired: vfs.faults_fired(),
-        pass,
-    }
-}
-
-/// Sweeps seeded process deaths (and the adversary variants above) over
-/// every campaign model through the fault-injecting VFS, in-process.
-/// The page-cache/durable split makes this phase *stronger* than a real
-/// `kill -9`: power cuts here also lose non-fsynced writes.
-#[must_use]
-pub fn run_restart_vfs_campaign(config: RestartCampaignConfig) -> RestartVfsReport {
-    let models = campaign_models();
-    let mut rng = config.seed ^ 0x5EC0_1A70_0D15_C0DE;
-    let mut trials = Vec::new();
-    let mut instants = Vec::new();
-    let mut stats = PersistentStats::default();
-    let mut vfs_faults_fired = 0u64;
-
-    for model in &models {
-        let reference = infer_plain(&model.layers, &model.input, model.session.shift);
-        // Calibration: count every interruptible instant of a full
-        // persistent run (engine ticks + checkpoint beats).
-        let mut cal_vfs = FaultVfs::new();
-        let mut cal_clock = CrashClock::counting();
-        let mut cal_stats = PersistentStats::default();
-        let cal = run_persistent(
-            &model.layers,
-            &model.input,
-            &model.session,
-            &mut cal_vfs,
-            Some(&mut cal_clock),
-            &mut cal_stats,
-        );
-        stats.absorb(&cal_stats);
-        let steps = cal_clock.steps();
-        instants.push((model.name, steps));
-        let calibrated = matches!(&cal, Ok(out) if out.run.output == reference);
-        if !calibrated || steps == 0 {
-            trials.push(RestartTrial {
-                model: model.name,
-                cut: 0,
-                variant: RestartVariant::Pure,
-                resumes: 0,
-                outcome: "calibration-mismatch".to_owned(),
-                faults_fired: 0,
-                pass: false,
-            });
-            continue;
-        }
-
-        for i in 0..config.cuts_per_model {
-            let cut = splitmix(&mut rng) % steps;
-            let variant = RestartVariant::ALL[i as usize % RestartVariant::ALL.len()];
-            let mut ctx = TrialCtx {
-                model,
-                reference: &reference,
-                rng: &mut rng,
-                stats: &mut stats,
-            };
-            let trial = run_restart_trial(&mut ctx, cut, variant);
-            trials.push(trial);
-        }
-    }
-    for t in &trials {
-        vfs_faults_fired += t.faults_fired;
-    }
-
-    let passes = trials.iter().filter(|t| t.pass).count() as u32;
-    let failures = trials.len() as u32 - passes;
-    let refusals = trials
-        .iter()
-        .filter(|t| t.outcome.starts_with("refused:"))
-        .count() as u32;
-    RestartVfsReport {
-        seed: config.seed,
-        instants,
-        trials,
-        passes,
-        failures,
-        refusals,
-        vfs_faults_fired,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{campaign_models, CampaignModel};
+    use crate::secure_infer::infer_plain;
 
     fn model() -> CampaignModel {
         campaign_models().remove(2) // mlp: smallest
@@ -2079,29 +1626,6 @@ mod tests {
             ),
             "got {r:?}"
         );
-    }
-
-    #[test]
-    fn small_campaign_passes_and_conserves_stats() {
-        let report = run_restart_vfs_campaign(RestartCampaignConfig {
-            seed: 7,
-            cuts_per_model: 7,
-        });
-        assert!(report.pass(), "{}", report.to_text());
-        assert!(report.refusals > 0, "adversary variants must be exercised");
-        assert!(report.stats.restart_resumes > 0);
-        assert!(report.stats.torn_tails_repaired > 0 || report.stats.fsyncs > 0);
-    }
-
-    #[test]
-    fn campaign_is_deterministic_per_seed() {
-        let cfg = RestartCampaignConfig {
-            seed: 9,
-            cuts_per_model: 4,
-        };
-        let a = run_restart_vfs_campaign(cfg).to_text();
-        let b = run_restart_vfs_campaign(cfg).to_text();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -41,22 +41,20 @@ pub use audit::{
 pub use command::{AuthenticatedCommand, Command, CommandError, HostChannel, NpuCommandProcessor};
 pub use detection::{detection_latency, DetectionLatency, RecoveryCost};
 pub use durable::{
-    assemble_frames, atomic_write, audit_home, crc32, output_digest, run_persistent,
-    run_restart_vfs_campaign, scan_frames, tamper_frame_fix_crc, DurableError, DurableHome,
-    FaultVfs, FrameScan, HomeAudit, OpenedHome, PersistentOutcome, PersistentStats,
-    RestartCampaignConfig, RestartTrial, RestartVariant, RestartVfsReport, StdVfs, Vfs, VfsFault,
-    VfsFaultKind, DRAM_FILE, FILE_MAGIC, JOURNAL_FILE, LEDGER_FILE, MANIFEST_FILE,
+    assemble_frames, atomic_write, audit_home, crc32, output_digest, run_persistent, scan_frames,
+    tamper_frame_fix_crc, DurableError, DurableHome, FaultVfs, FrameScan, HomeAudit, OpenedHome,
+    PersistentOutcome, PersistentStats, StdVfs, Vfs, VfsFault, VfsFaultKind, DRAM_FILE, FILE_MAGIC,
+    JOURNAL_FILE, LEDGER_FILE, MANIFEST_FILE,
 };
 pub use engine::{make_engine, SchemeKind, SchemeTiming, TileSecurityCost};
 pub use error::SecurityError;
 pub use fault::{
-    run_campaign, splitmix, AccessCtx, CampaignConfig, CampaignReport, CrashClock, CrashPhase,
-    FaultInjector, FaultKind, FaultSpec, Persistence, PowerLoss, TrialResult,
+    splitmix, AccessCtx, CrashClock, CrashPhase, FaultInjector, FaultKind, FaultSpec, Persistence,
+    PowerLoss,
 };
 pub use functional::{Attack, FunctionalNpu, FunctionalReport};
 pub use journal::{
-    campaign_models, run_crash_campaign, CampaignModel, CrashCampaignConfig, CrashCampaignReport,
-    CrashTrial, CrashVariant, DurableState, JournalRecord, JournalRecordKind, JournalReplay,
+    campaign_models, CampaignModel, DurableState, JournalRecord, JournalRecordKind, JournalReplay,
     JournalStore, PadTracker,
 };
 pub use mac_verify::{EagerLayerVerifier, LayerMacVerifier, ReadOnlyVerifier, VerifyOutcome};
@@ -64,16 +62,14 @@ pub use mea::{evaluate_defense, infer_layer_dims, AddressTraceObserver, MeaRepor
 pub use noise::{observe_network_with_noise, observe_with_noise, NoiseConfig, NoisyObservation};
 pub use npu::TimingNpu;
 pub use pipeline::{amortization_curve, run_batch, BatchStats, PipelineConfig};
-pub use retry::{RestartPolicy, RetryPolicy, RobustnessPolicy, SheddingPolicy};
+pub use retry::{RetryPolicy, RobustnessPolicy, SheddingPolicy};
 pub use secure_infer::{
     infer_journaled, infer_plain, infer_resume, AbortReport, Instruments, JournaledError,
     JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
 };
 pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram};
 pub use session::{
-    run_chaos_campaign, run_serve_campaign, serve_plan, AdmitSpec, ChaosCampaignConfig,
-    ChaosCampaignReport, ChaosTrial, PadLedger, PlannedTenant, QuarantineReport,
-    ServeCampaignConfig, ServeCampaignReport, ServePlan, ServeReport, ServeTrial, SessionManager,
+    tenant_identity, AdmitSpec, PadLedger, QuarantineReport, ServeReport, SessionManager,
     SessionOutcome, SessionVerdict,
 };
 pub use storage::{table7_rows, StorageFootprint};

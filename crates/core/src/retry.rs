@@ -1,8 +1,9 @@
-//! The single home of every retry bound in the repo: the in-layer
-//! refetch→re-execute→abort ladder constants, the scheduler-level
-//! session-retry ceiling with deterministic exponential backoff, and the
-//! fleet-robustness knobs (watchdog, load shedding) the multi-session
-//! scheduler enforces.
+//! The single home of every retry bound the engine and the scheduler
+//! enforce: the in-layer refetch→re-execute→abort ladder constants, the
+//! scheduler-level session-retry ceiling with deterministic exponential
+//! backoff, and the fleet-robustness knobs (watchdog, load shedding) the
+//! multi-session scheduler enforces. (The restart campaign's bound on
+//! reopening a durable home is the campaign's own constant.)
 //!
 //! Before this module, the ladder's attempt counts lived as magic
 //! numbers duplicated between the standalone recovery driver and the
@@ -147,25 +148,6 @@ impl Default for SheddingPolicy {
             pressure_threshold: 2,
             min_inflight: 1,
             restore_after: 4,
-        }
-    }
-}
-
-/// Process-level restart bounds for the durable persistence layer: how
-/// many times a driver may reopen a [`crate::durable::DurableHome`] and
-/// resume after a process death or an injected storage fault before it
-/// declares the home wedged. Security verdicts are *never* retried —
-/// this bounds only the availability loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartPolicy {
-    /// Maximum reopen-and-resume attempts per inference.
-    pub max_process_resumes: u32,
-}
-
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        Self {
-            max_process_resumes: 8,
         }
     }
 }

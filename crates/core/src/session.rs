@@ -26,11 +26,10 @@
 //!   single-session run (the scheduler only ever calls the same
 //!   `step_journaled_layer` the single-tenant drivers use).
 //!
-//! The deterministic [`run_serve_campaign`] drives a seeded synthetic
-//! arrival trace over the model zoo, plants one tampered tenant, and
-//! verifies all of the above, including a **cross-session pad ledger**
-//! ([`PadLedger`]): no CTR pad — identified by its `(derived key, epoch,
-//! counter)` triple — is ever issued twice across any pair of sessions.
+//! A **cross-session pad ledger** ([`PadLedger`]) extends the pad-reuse
+//! oracle across tenants: no CTR pad — identified by its `(derived key,
+//! epoch, counter)` triple — is ever issued twice across any pair of
+//! sessions.
 //!
 //! On top of the classic scheduler sits an opt-in **fleet robustness
 //! layer** ([`SessionManager::harden`], configured by a
@@ -50,12 +49,8 @@
 //!   `max_inflight` one slot at a time (never below a floor) and clean
 //!   rounds restore it, so the fleet degrades instead of collapsing.
 //!
-//! [`run_chaos_campaign`] composes the fault-campaign's five fault kinds
-//! with the crash-campaign's power cuts *concurrently across sessions*
-//! (independent per-tenant RNG streams) and checks the chaos oracles:
-//! healthy tenants finish bit-identical to their solo runs with zero
-//! deadline misses, every faulted tenant ends recovered-or-quarantined
-//! (never wedged), and the pad ledger stays collision-free throughout.
+//! The serve and chaos campaigns that drive all of this from a seed live
+//! in the `seculator-campaigns` crate.
 
 use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
@@ -65,15 +60,12 @@ use crate::audit::{IncidentLog, IncidentRecord, LadderSummary, RecoveryAction};
 use crate::detection::RecoveryCost;
 use crate::durable::{DurableError, DurableHome, PersistentStats, StdVfs};
 use crate::error::SecurityError;
-use crate::fault::{
-    splitmix, CrashClock, FaultInjector, FaultKind, FaultSpec, Persistence, PowerLoss,
-};
-use crate::journal::{campaign_models, CampaignModel, DurableState, PadTracker};
+use crate::fault::{splitmix, CrashClock, FaultInjector, PowerLoss};
+use crate::journal::{DurableState, PadTracker};
 use crate::retry::{RobustnessPolicy, SheddingPolicy};
 use crate::secure_infer::{
-    infer_journaled, infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer,
-    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, RecoveryPolicy,
-    SecureSession,
+    open_journaled_cursor, open_resume_cursor, step_journaled_layer, Instruments, JournaledCursor,
+    JournaledError, JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
 };
 use crate::secure_memory::{BlockCoords, DatapathCache};
 use crate::telemetry::{self, Counter, LayerRow};
@@ -384,6 +376,23 @@ impl PadLedger {
     }
 }
 
+/// The key identity tenant `tenant_id` gets under a device `root` and
+/// `base_nonce`: a tenant-derived sub-secret and a tenant-mixed nonce,
+/// with `salt` folded into the nonce (`0` is the classic derivation).
+/// Every [`SessionManager`] derives its sessions through this, so a
+/// solo reference run built from it uses exactly the keys the scheduler
+/// gives that tenant.
+#[must_use]
+pub fn tenant_identity(
+    root: &DeviceSecret,
+    base_nonce: u64,
+    tenant_id: u32,
+    salt: u64,
+) -> (DeviceSecret, u64) {
+    let mut mix = base_nonce ^ u64::from(tenant_id) ^ salt;
+    (root.derive_tenant(tenant_id), splitmix(&mut mix))
+}
+
 /// Everything one [`SessionManager::run`] produced.
 #[derive(Debug)]
 pub struct ServeReport {
@@ -553,10 +562,10 @@ impl SessionManager {
     /// request without reusing the previous request's pads.
     #[must_use]
     pub fn derived_session_salted(&self, tenant_id: u32, salt: u64) -> SecureSession {
-        let mut mix = self.base_nonce ^ u64::from(tenant_id) ^ salt;
+        let (secret, nonce) = tenant_identity(&self.root, self.base_nonce, tenant_id, salt);
         SecureSession {
-            secret: self.root.derive_tenant(tenant_id),
-            nonce: splitmix(&mut mix),
+            secret,
+            nonce,
             shift: self.shift,
             policy: self.policy,
         }
@@ -1310,740 +1319,29 @@ impl SessionManager {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serve campaign: seeded arrival trace + planted tamper + isolation oracle
-// ---------------------------------------------------------------------------
-
-/// Configuration of one serve campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeCampaignConfig {
-    /// Root seed — everything (keys, arrivals, model picks, the tampered
-    /// tenant) derives from it.
-    pub seed: u64,
-    /// Number of tenant sessions (clamped to ≥ 1).
-    pub sessions: u32,
-}
-
-/// Per-tenant campaign verdict.
-#[derive(Debug, Clone)]
-pub struct ServeTrial {
-    /// Tenant id.
-    pub tenant: u32,
-    /// Model-zoo workload the tenant ran.
-    pub model: &'static str,
-    /// Whether this was the planted tampered tenant.
-    pub tampered: bool,
-    /// Whether the tenant met its oracle (clean: bit-identical to the
-    /// single-session run; tampered: aborted fail-closed).
-    pub ok: bool,
-    /// Deterministic one-line explanation.
-    pub detail: String,
-}
-
-/// Deterministic outcome of one serve campaign.
-#[derive(Debug)]
-pub struct ServeCampaignReport {
-    /// Root seed.
-    pub seed: u64,
-    /// Tenant sessions scheduled.
-    pub sessions: u32,
-    /// The cross-session ledger fired on a deliberate same-key duplicate
-    /// and stayed quiet across distinct keys (the detector detects).
-    pub detector_ok: bool,
-    /// Per-tenant verdicts, in tenant order.
-    pub trials: Vec<ServeTrial>,
-    /// Distinct pads across every session.
-    pub pads_issued: u64,
-    /// Cross-session pad collisions (must be 0).
-    pub pad_collisions: u64,
-    /// Scheduler rounds the manager ran.
-    pub rounds: u64,
-    /// Recovery-ladder summary over every tenant's incidents.
-    pub ladder: LadderSummary,
-    /// Per-session stage-time rows for `--metrics` (never printed in the
-    /// deterministic summary — wall times are not byte-stable).
-    pub session_rows: Vec<LayerRow>,
-}
-
-impl ServeCampaignReport {
-    /// Did every oracle hold?
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.detector_ok && self.pad_collisions == 0 && self.trials.iter().all(|t| t.ok)
-    }
-
-    /// Deterministic multi-line summary (byte-identical for one seed).
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "serve campaign seed={}: {} sessions, {} scheduler rounds\n",
-            self.seed, self.sessions, self.rounds
-        ));
-        out.push_str(&format!(
-            "cross-session ledger self-test: {}\n",
-            if self.detector_ok { "ok" } else { "FAILED" }
-        ));
-        for t in &self.trials {
-            out.push_str(&format!(
-                "tenant {}: {}{} → {}\n",
-                t.tenant,
-                t.model,
-                if t.tampered { " [tampered]" } else { "" },
-                t.detail
-            ));
-        }
-        out.push_str(&format!(
-            "pads issued: {}; cross-session collisions: {}\n",
-            self.pads_issued, self.pad_collisions
-        ));
-        out.push_str(&format!("ladder: {}\n", self.ladder.to_json()));
-        out.push_str(if self.passed() {
-            "verdict: PASS"
-        } else {
-            "verdict: FAIL"
-        });
-        out
-    }
-}
-
-/// The deterministic plan one serve seed expands to: keys, admission
-/// cap, and one [`PlannedTenant`] per session. Extracted from
-/// [`run_serve_campaign`] so the wire conformance campaign replays the
-/// *exact* same derivations — same splitmix consumption order, same
-/// model picks, same arrivals, same planted tamper — and "daemon output
-/// ≡ serve-campaign output" holds by construction rather than by luck.
-#[derive(Debug)]
-pub struct ServePlan {
-    /// Device root secret for the manager.
-    pub root: DeviceSecret,
-    /// Base nonce the per-tenant derivation mixes.
-    pub base_nonce: u64,
-    /// Fixed-point shift shared by every session.
-    pub shift: u32,
-    /// Admission cap (kept below the session count when possible so
-    /// backpressure is part of every multi-session campaign).
-    pub max_inflight: usize,
-    /// One plan per tenant, in tenant-id order.
-    pub tenants: Vec<PlannedTenant>,
-}
-
-/// One tenant's slot in a [`ServePlan`].
-#[derive(Debug, Clone)]
-pub struct PlannedTenant {
-    /// Tenant id.
-    pub tenant: u32,
-    /// Index into the model zoo (`campaign_models()` order).
-    pub model: usize,
-    /// Scheduler round the arrival trace releases this tenant.
-    pub arrival_round: u64,
-    /// Whether this is the planted tampered tenant.
-    pub tampered: bool,
-    injector_seed: u64,
-    injector_spec: Option<FaultSpec>,
-}
-
-impl PlannedTenant {
-    /// A fresh copy of the planned DRAM adversary (`None` for clean
-    /// tenants). Each caller gets its own injector so replaying the
-    /// plan twice arms identical fault streams.
-    #[must_use]
-    pub fn injector(&self) -> Option<FaultInjector> {
-        self.injector_spec
-            .map(|spec| FaultInjector::new(self.injector_seed, vec![spec]))
-    }
-}
-
-/// Expands one seed into the serve campaign's full plan. Consumes the
-/// seed's splitmix stream in the exact order the original campaign did
-/// — root secret, base nonce, tampered pick, then per tenant: model,
-/// arrival, and (tampered only) layer/block/injector seed.
-#[must_use]
-pub fn serve_plan(seed: u64, sessions: u32, models: &[CampaignModel]) -> ServePlan {
-    let sessions = sessions.max(1);
-    let mut rng = seed;
-    let root = DeviceSecret::from_seed(splitmix(&mut rng));
-    let base_nonce = splitmix(&mut rng);
-    let tampered_tenant = if sessions >= 2 {
-        Some((splitmix(&mut rng) % u64::from(sessions)) as u32)
-    } else {
-        None
-    };
-    let max_inflight = usize::max(2, sessions as usize / 2 + 1);
-    let shift = models[0].session.shift;
-    let mut tenants = Vec::with_capacity(sessions as usize);
-    for tenant in 0..sessions {
-        let model = (splitmix(&mut rng) % models.len() as u64) as usize;
-        let arrival_round = splitmix(&mut rng) % u64::from(sessions);
-        let tampered = tampered_tenant == Some(tenant);
-        let (injector_seed, injector_spec) = if tampered {
-            let layer = (splitmix(&mut rng) % models[model].layers.len() as u64) as u32;
-            let block = splitmix(&mut rng);
-            (
-                splitmix(&mut rng),
-                Some(FaultSpec {
-                    kind: FaultKind::BitFlip,
-                    persistence: Persistence::Relentless,
-                    layer,
-                    block,
-                }),
-            )
-        } else {
-            (0, None)
-        };
-        tenants.push(PlannedTenant {
-            tenant,
-            model,
-            arrival_round,
-            tampered,
-            injector_seed,
-            injector_spec,
-        });
-    }
-    ServePlan {
-        root,
-        base_nonce,
-        shift,
-        max_inflight,
-        tenants,
-    }
-}
-
-/// The ledger must detect: a deliberate same-key duplicate collides, a
-/// distinct derived key with the same counter does not (that is the
-/// whole point of per-tenant key derivation).
-fn ledger_selftest() -> bool {
-    let mut ledger = PadLedger::new();
-    let root = DeviceSecret::from_seed(0xD1CE);
-    let c = BlockCoords {
-        fmap_id: 0,
-        layer_id: 0,
-        version: 1,
-        block_index: 0,
-    };
-    ledger.insert(root.derive_tenant(0), 7, 0, c)
-        && !ledger.insert(root.derive_tenant(0), 7, 0, c)
-        && ledger.insert(root.derive_tenant(1), 7, 0, c)
-        && ledger.collisions() == 1
-}
-
-/// Runs the deterministic multi-session campaign: a seeded synthetic
-/// arrival trace assigns each of `sessions` tenants a model-zoo workload
-/// and an arrival round; one seeded tenant (when `sessions ≥ 2`) gets a
-/// relentless DRAM adversary that defeats the recovery ladder. The
-/// oracle: the tampered tenant exits through the per-session abort path,
-/// every clean tenant's output is bit-identical to its single-session
-/// `infer_journaled` run (same derived keys) *and* to the plaintext
-/// reference, and the cross-session pad ledger records zero collisions.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run_serve_campaign(config: &ServeCampaignConfig) -> ServeCampaignReport {
-    let sessions = config.sessions.max(1);
-    let models = campaign_models();
-    let plan = serve_plan(config.seed, sessions, &models);
-    let shift = plan.shift;
-    let mut mgr = SessionManager::new(
-        plan.root,
-        plan.base_nonce,
-        shift,
-        RecoveryPolicy::default(),
-        plan.max_inflight,
-    );
-
-    // One shared weight copy per zoo model: tenants serving the same
-    // model reference it instead of cloning it.
-    let shared: Vec<Arc<Vec<QConvLayer>>> =
-        models.iter().map(|m| Arc::new(m.layers.clone())).collect();
-    let plans = &plan.tenants;
-    for p in plans {
-        mgr.admit(AdmitSpec {
-            tenant: p.tenant,
-            name: models[p.model].name.to_string(),
-            layers: Arc::clone(&shared[p.model]),
-            input: models[p.model].input.clone(),
-            arrival_round: p.arrival_round,
-            injector: p.injector(),
-            deadline_rounds: None,
-            crash_cuts: Vec::new(),
-            nonce_salt: 0,
-            home_dir: None,
-        });
-    }
-
-    // Single-session references under the *same derived keys*, each in
-    // its own fresh durable state — the bit-identity oracle.
-    let mut references = Vec::with_capacity(plans.len());
-    for plan in plans {
-        if plan.tampered {
-            references.push(None);
-            continue;
-        }
-        let m = &models[plan.model];
-        let session = mgr.derived_session(plan.tenant);
-        let mut durable = DurableState::default();
-        let mut tracker = PadTracker::new();
-        let mut instruments = Instruments {
-            tracker: &mut tracker,
-            injector: None,
-            clock: None,
-        };
-        let run = infer_journaled(
-            &m.layers,
-            &m.input,
-            &session,
-            &mut durable,
-            &mut instruments,
-        );
-        references.push(run.ok().map(|r| r.output));
-    }
-
-    let report = mgr.run();
-
-    let mut trials = Vec::with_capacity(plans.len());
-    for (plan, reference) in plans.iter().zip(&references) {
-        let m = &models[plan.model];
-        let outcome = report.outcomes.iter().find(|o| o.tenant == plan.tenant);
-        let (ok, detail) = match (outcome, plan.tampered) {
-            (Some(o), false) => match (&o.verdict, reference) {
-                (SessionVerdict::Completed(run), Some(expected)) => {
-                    let plain = infer_plain(&m.layers, &m.input, shift);
-                    if run.output == *expected && run.output == plain {
-                        (
-                            true,
-                            format!(
-                                "completed; output bit-identical to single-session run \
-                                 (arrival={} start={} served={} commits={})",
-                                o.arrival_round, o.started_round, o.rounds_serviced, o.commits
-                            ),
-                        )
-                    } else {
-                        (false, "completed but output DIVERGED".to_string())
-                    }
-                }
-                (SessionVerdict::Completed(_), None) => (false, "reference run failed".to_string()),
-                (SessionVerdict::Aborted(e), _) => (false, format!("clean session ABORTED: {e}")),
-                (SessionVerdict::Quarantined(q), _) => (
-                    false,
-                    format!(
-                        "clean session QUARANTINED under classic policy: {}",
-                        q.cause
-                    ),
-                ),
-            },
-            (Some(o), true) => match &o.verdict {
-                SessionVerdict::Aborted(e) if matches!(e.as_ref(), JournaledError::Aborted(_)) => (
-                    true,
-                    format!(
-                        "aborted fail-closed after exhausting the ladder \
-                             (arrival={} start={} served={} commits={})",
-                        o.arrival_round, o.started_round, o.rounds_serviced, o.commits
-                    ),
-                ),
-                SessionVerdict::Aborted(e) => {
-                    (false, format!("aborted through the wrong path: {e}"))
-                }
-                SessionVerdict::Completed(_) => (false, "tampered session COMPLETED".to_string()),
-                SessionVerdict::Quarantined(q) => (
-                    false,
-                    format!("quarantined under classic policy: {}", q.cause),
-                ),
-            },
-            (None, _) => (false, "tenant missing from report".to_string()),
-        };
-        trials.push(ServeTrial {
-            tenant: plan.tenant,
-            model: models[plan.model].name,
-            tampered: plan.tampered,
-            ok,
-            detail,
-        });
-    }
-
-    ServeCampaignReport {
-        seed: config.seed,
-        sessions,
-        detector_ok: ledger_selftest(),
-        trials,
-        pads_issued: report.pads_issued,
-        pad_collisions: report.pad_collisions,
-        rounds: report.rounds,
-        ladder: report.ladder(),
-        session_rows: report.session_rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos campaign: faults × power cuts composed concurrently across tenants
-// ---------------------------------------------------------------------------
-
-/// Configuration of one chaos campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosCampaignConfig {
-    /// Root seed — keys, arrivals, model picks, the faulted-tenant set,
-    /// every fault spec, every cut, and every backoff jitter derive
-    /// from it.
-    pub seed: u64,
-    /// Number of tenant sessions (clamped to ≥ 1); `⌊sessions/2⌋` of
-    /// them are targeted by chaos.
-    pub sessions: u32,
-}
-
-/// Per-tenant chaos verdict.
-#[derive(Debug, Clone)]
-pub struct ChaosTrial {
-    /// Tenant id.
-    pub tenant: u32,
-    /// Model-zoo workload the tenant ran.
-    pub model: &'static str,
-    /// Whether chaos targeted this tenant.
-    pub faulted: bool,
-    /// DRAM fault specs armed against it.
-    pub faults: u32,
-    /// Scripted power cuts armed against it.
-    pub cuts: u32,
-    /// Whether the tenant met its oracle (healthy: bit-identical to its
-    /// solo run; faulted: recovered bit-identical or quarantined).
-    pub ok: bool,
-    /// Deterministic one-line explanation.
-    pub detail: String,
-}
-
-/// Deterministic outcome of one chaos campaign.
-#[derive(Debug)]
-pub struct ChaosCampaignReport {
-    /// Root seed.
-    pub seed: u64,
-    /// Tenant sessions scheduled.
-    pub sessions: u32,
-    /// Per-tenant verdicts, in tenant order.
-    pub trials: Vec<ChaosTrial>,
-    /// Scheduler rounds the manager ran.
-    pub rounds: u64,
-    /// Distinct pads across every session and every retry.
-    pub pads_issued: u64,
-    /// Cross-session pad collisions (must be 0).
-    pub pad_collisions: u64,
-    /// Scheduler-level session retries granted.
-    pub session_retries: u64,
-    /// Deadline budgets exceeded (any tenant).
-    pub deadline_misses: u64,
-    /// Tenants sealed fail-closed.
-    pub sessions_quarantined: u64,
-    /// Admission slots shed under fault pressure.
-    pub inflight_shed: u64,
-    /// Deadline misses charged to *healthy* tenants (must be 0: chaos
-    /// against the faulted set must not starve the rest).
-    pub healthy_deadline_misses: u64,
-    /// Recovery-ladder summary over every tenant's incidents.
-    pub ladder: LadderSummary,
-    /// Per-session stage-time rows for `--metrics` (never printed in the
-    /// deterministic summary — wall times are not byte-stable).
-    pub session_rows: Vec<LayerRow>,
-}
-
-impl ChaosCampaignReport {
-    /// Did every oracle hold?
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.pad_collisions == 0
-            && self.healthy_deadline_misses == 0
-            && self.trials.iter().all(|t| t.ok)
-    }
-
-    /// Deterministic multi-line summary (byte-identical for one seed).
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "chaos campaign seed={}: {} sessions ({} faulted), {} scheduler rounds\n",
-            self.seed,
-            self.sessions,
-            self.trials.iter().filter(|t| t.faulted).count(),
-            self.rounds
-        ));
-        for t in &self.trials {
-            let chaos = if t.faulted {
-                format!(" [chaos: {} faults, {} cuts]", t.faults, t.cuts)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "tenant {}: {}{} → {}\n",
-                t.tenant, t.model, chaos, t.detail
-            ));
-        }
-        out.push_str(&format!(
-            "pads issued: {}; cross-session collisions: {}\n",
-            self.pads_issued, self.pad_collisions
-        ));
-        out.push_str(&format!(
-            "robustness: {{\"session_retries\":{},\"deadline_misses\":{},\
-             \"sessions_quarantined\":{},\"inflight_shed\":{}}}\n",
-            self.session_retries,
-            self.deadline_misses,
-            self.sessions_quarantined,
-            self.inflight_shed
-        ));
-        out.push_str(&format!("ladder: {}\n", self.ladder.to_json()));
-        out.push_str(if self.passed() {
-            "verdict: PASS"
-        } else {
-            "verdict: FAIL"
-        });
-        out
-    }
-}
-
-/// Calibrates one model's total datapath step count with a counting
-/// clock, so scripted cuts land mid-run.
-fn calibrate_steps(layers: &[QConvLayer], input: &QTensor3, session: &SecureSession) -> u64 {
-    let mut durable = DurableState::default();
-    let mut tracker = PadTracker::new();
-    let mut clock = CrashClock::counting();
-    let mut instruments = Instruments {
-        tracker: &mut tracker,
-        injector: None,
-        clock: Some(&mut clock),
-    };
-    let _ = infer_journaled(layers, input, session, &mut durable, &mut instruments);
-    clock.steps()
-}
-
-/// Runs the deterministic chaos campaign: a hardened scheduler serves
-/// `sessions` tenants while `⌊sessions/2⌋` seeded victims are hit by a
-/// per-tenant composition of the fault campaign's five fault kinds and
-/// the crash campaign's scripted power cuts — concurrently, from
-/// independent per-tenant splitmix streams. Oracles: every healthy
-/// tenant completes bit-identical to its solo `infer_journaled` run with
-/// zero deadline misses; every faulted tenant ends *recovered* (output
-/// bit-identical to its clean solo run) or *quarantined* (fail-closed) —
-/// never wedged in a classic abort; and the cross-session pad ledger
-/// stays collision-free across all retries, crashes, and quarantines.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run_chaos_campaign(config: &ChaosCampaignConfig) -> ChaosCampaignReport {
-    let sessions = config.sessions.max(1);
-    let mut rng = config.seed;
-    let models = campaign_models();
-    let root = DeviceSecret::from_seed(splitmix(&mut rng));
-    let base_nonce = splitmix(&mut rng);
-    let backoff_seed = splitmix(&mut rng);
-    let fault_pick = splitmix(&mut rng);
-
-    let steps: Vec<u64> = models
-        .iter()
-        .map(|m| calibrate_steps(&m.layers, &m.input, &m.session))
-        .collect();
-
-    let max_inflight = usize::max(2, sessions as usize / 2 + 1);
-    let shift = models[0].session.shift;
-    let mut mgr = SessionManager::new(
-        root,
-        base_nonce,
-        shift,
-        RecoveryPolicy::default(),
-        max_inflight,
-    );
-    mgr.harden(RobustnessPolicy::hardened(), backoff_seed);
-
-    // Seeded choice of k < N chaos victims.
-    let k = (sessions / 2) as usize;
-    let mut victim = vec![false; sessions as usize];
-    let mut pick = fault_pick;
-    let mut chosen = 0;
-    while chosen < k {
-        let i = (splitmix(&mut pick) % u64::from(sessions)) as usize;
-        if !victim[i] {
-            victim[i] = true;
-            chosen += 1;
-        }
-    }
-
-    struct Plan {
-        tenant: u32,
-        model: usize,
-        faulted: bool,
-        faults: u32,
-        cuts: u32,
-    }
-    let shared: Vec<Arc<Vec<QConvLayer>>> =
-        models.iter().map(|m| Arc::new(m.layers.clone())).collect();
-    let mut plans = Vec::with_capacity(sessions as usize);
-    for tenant in 0..sessions {
-        // Independent per-tenant stream: tenants decorrelate while the
-        // campaign stays byte-identical per root seed.
-        let mut ts = {
-            let mut s = config.seed
-                ^ u64::from(tenant)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(0x0DDB_1A5E);
-            splitmix(&mut s)
-        };
-        let model = (splitmix(&mut ts) % models.len() as u64) as usize;
-        let arrival = splitmix(&mut ts) % u64::from(sessions);
-        let mut injector = None;
-        let mut crash_cuts = Vec::new();
-        let (mut faults, mut cuts) = (0u32, 0u32);
-        if victim[tenant as usize] {
-            // Compose the chaos mix: faults only, cuts only, or both.
-            let mode = splitmix(&mut ts) % 3;
-            if mode != 1 {
-                let n = 1 + (splitmix(&mut ts) % 2) as usize;
-                let mut specs = Vec::new();
-                while specs.len() < n {
-                    let kind =
-                        FaultKind::ALL[(splitmix(&mut ts) % FaultKind::ALL.len() as u64) as usize];
-                    let persistence = Persistence::ALL
-                        [(splitmix(&mut ts) % Persistence::ALL.len() as u64) as usize];
-                    let spec = FaultSpec {
-                        kind,
-                        persistence,
-                        layer: (splitmix(&mut ts) % models[model].layers.len() as u64) as u32,
-                        block: splitmix(&mut ts),
-                    };
-                    if spec.is_expressible() {
-                        specs.push(spec);
-                    }
-                }
-                faults = specs.len() as u32;
-                injector = Some(FaultInjector::new(splitmix(&mut ts), specs));
-            }
-            if mode != 0 {
-                let n = 1 + splitmix(&mut ts) % 2;
-                let total = steps[model].max(4);
-                for _ in 0..n {
-                    crash_cuts.push(1 + splitmix(&mut ts) % (total - 1));
-                    cuts += 1;
-                }
-            }
-        }
-        mgr.admit(AdmitSpec {
-            tenant,
-            name: models[model].name.to_string(),
-            layers: Arc::clone(&shared[model]),
-            input: models[model].input.clone(),
-            arrival_round: arrival,
-            injector,
-            // Generous fleet-wide budget: exercises the deadline
-            // bookkeeping without starving anyone — healthy tenants
-            // missing it is an oracle failure, not an expectation.
-            deadline_rounds: Some(4096),
-            crash_cuts,
-            nonce_salt: 0,
-            home_dir: None,
-        });
-        plans.push(Plan {
-            tenant,
-            model,
-            faulted: victim[tenant as usize],
-            faults,
-            cuts,
-        });
-    }
-
-    // Clean solo references under the *same derived keys* — the
-    // bit-identity oracle for healthy and recovered tenants alike.
-    let mut references = Vec::with_capacity(plans.len());
-    for plan in &plans {
-        let m = &models[plan.model];
-        let session = mgr.derived_session(plan.tenant);
-        let mut durable = DurableState::default();
-        let mut tracker = PadTracker::new();
-        let mut instruments = Instruments {
-            tracker: &mut tracker,
-            injector: None,
-            clock: None,
-        };
-        let run = infer_journaled(
-            &m.layers,
-            &m.input,
-            &session,
-            &mut durable,
-            &mut instruments,
-        );
-        references.push(run.ok().map(|r| r.output));
-    }
-
-    let report = mgr.run();
-
-    let mut healthy_deadline_misses = 0u64;
-    let mut trials = Vec::with_capacity(plans.len());
-    for (plan, reference) in plans.iter().zip(&references) {
-        let outcome = report.outcomes.iter().find(|o| o.tenant == plan.tenant);
-        let (ok, detail) = match outcome {
-            None => (false, "tenant missing from report".to_string()),
-            Some(o) => {
-                if !plan.faulted && o.deadline_missed {
-                    healthy_deadline_misses += 1;
-                }
-                match (&o.verdict, plan.faulted) {
-                    // Completion — healthy or recovered — must be
-                    // bit-identical to the clean solo run.
-                    (SessionVerdict::Completed(run), _) => match reference {
-                        Some(expected) if run.output == *expected => (
-                            true,
-                            format!(
-                                "completed bit-identical to solo run \
-                                 (retries={} commits={})",
-                                o.retries, o.commits
-                            ),
-                        ),
-                        Some(_) => (
-                            false,
-                            "completed but output DIVERGED from solo run".to_string(),
-                        ),
-                        None => (false, "solo reference run failed".to_string()),
-                    },
-                    (SessionVerdict::Quarantined(q), true) => (
-                        true,
-                        format!(
-                            "quarantined fail-closed after {} retries: {}",
-                            q.retries, q.cause
-                        ),
-                    ),
-                    (SessionVerdict::Quarantined(q), false) => {
-                        (false, format!("healthy tenant QUARANTINED: {}", q.cause))
-                    }
-                    (SessionVerdict::Aborted(e), true) => {
-                        (false, format!("wedged in a classic abort: {e}"))
-                    }
-                    (SessionVerdict::Aborted(e), false) => {
-                        (false, format!("healthy session ABORTED: {e}"))
-                    }
-                }
-            }
-        };
-        trials.push(ChaosTrial {
-            tenant: plan.tenant,
-            model: models[plan.model].name,
-            faulted: plan.faulted,
-            faults: plan.faults,
-            cuts: plan.cuts,
-            ok,
-            detail,
-        });
-    }
-
-    ChaosCampaignReport {
-        seed: config.seed,
-        sessions,
-        trials,
-        rounds: report.rounds,
-        pads_issued: report.pads_issued,
-        pad_collisions: report.pad_collisions,
-        session_retries: report.session_retries,
-        deadline_misses: report.deadline_misses,
-        sessions_quarantined: report.sessions_quarantined,
-        inflight_shed: report.inflight_shed,
-        healthy_deadline_misses,
-        ladder: report.ladder(),
-        session_rows: report.session_rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultSpec, Persistence};
+    use crate::journal::{campaign_models, CampaignModel};
+    use crate::secure_infer::infer_journaled;
+
+    /// A model's interruptible-instant count, from one counting-clock run.
+    fn steps_of(m: &CampaignModel) -> u64 {
+        let mut clock = CrashClock::counting();
+        let _ = infer_journaled(
+            &m.layers,
+            &m.input,
+            &m.session,
+            &mut DurableState::default(),
+            &mut Instruments {
+                tracker: &mut PadTracker::new(),
+                injector: None,
+                clock: Some(&mut clock),
+            },
+        );
+        clock.steps()
+    }
 
     fn clean_manager(seed: u64, n: u32, max_inflight: usize) -> SessionManager {
         let models = campaign_models();
@@ -2076,7 +1374,7 @@ mod tests {
     fn admit_plain(
         mgr: &mut SessionManager,
         tenant: u32,
-        model: &crate::journal::CampaignModel,
+        model: &CampaignModel,
         injector: Option<FaultInjector>,
         deadline_rounds: Option<u64>,
         crash_cuts: Vec<u64>,
@@ -2175,38 +1473,6 @@ mod tests {
             served.windows(2).all(|w| w[0] == w[1]),
             "equal workloads must get equal service: {served:?}"
         );
-    }
-
-    #[test]
-    fn serve_campaign_passes_and_is_deterministic() {
-        let config = ServeCampaignConfig {
-            seed: 7,
-            sessions: 4,
-        };
-        let a = run_serve_campaign(&config);
-        assert!(a.passed(), "{}", a.summary());
-        let b = run_serve_campaign(&config);
-        assert_eq!(a.summary(), b.summary(), "summary must be byte-identical");
-        assert_eq!(
-            a.trials.iter().filter(|t| t.tampered).count(),
-            1,
-            "exactly one planted tampered tenant"
-        );
-    }
-
-    #[test]
-    fn single_session_campaign_has_no_tampered_tenant() {
-        let report = run_serve_campaign(&ServeCampaignConfig {
-            seed: 3,
-            sessions: 1,
-        });
-        assert!(report.passed(), "{}", report.summary());
-        assert!(report.trials.iter().all(|t| !t.tampered));
-    }
-
-    #[test]
-    fn ledger_selftest_detects() {
-        assert!(ledger_selftest());
     }
 
     #[test]
@@ -2317,7 +1583,7 @@ mod tests {
     fn a_crash_cut_session_retries_and_completes_bit_identical() {
         let models = campaign_models();
         let m = &models[0];
-        let cut = calibrate_steps(&m.layers, &m.input, &m.session) / 2;
+        let cut = steps_of(m) / 2;
         let mut mgr = hardened_manager(91, 2);
         let session = mgr.derived_session(0);
         admit_plain(&mut mgr, 0, m, None, None, vec![cut]);
@@ -2383,7 +1649,7 @@ mod tests {
     fn the_watchdog_quarantines_a_stalled_backoff_session() {
         let models = campaign_models();
         let m = &models[0];
-        let cut = calibrate_steps(&m.layers, &m.input, &m.session) / 2;
+        let cut = steps_of(m) / 2;
         let mut mgr = SessionManager::new(
             DeviceSecret::from_seed(94),
             94 ^ 0x5A5A,
@@ -2456,42 +1722,6 @@ mod tests {
                 "healthy tenant {t} must complete despite shedding"
             );
         }
-    }
-
-    #[test]
-    fn chaos_campaign_passes_and_is_deterministic() {
-        let config = ChaosCampaignConfig {
-            seed: 11,
-            sessions: 4,
-        };
-        let a = run_chaos_campaign(&config);
-        assert!(a.passed(), "{}", a.summary());
-        let b = run_chaos_campaign(&config);
-        assert_eq!(
-            a.summary(),
-            b.summary(),
-            "chaos summary must be byte-identical per seed"
-        );
-        assert_eq!(
-            a.trials.iter().filter(|t| t.faulted).count(),
-            2,
-            "⌊4/2⌋ seeded victims"
-        );
-        assert!(
-            a.trials.iter().any(|t| !t.faulted),
-            "healthy tenants must co-exist with the chaos set"
-        );
-    }
-
-    #[test]
-    fn single_session_chaos_campaign_is_fault_free() {
-        let report = run_chaos_campaign(&ChaosCampaignConfig {
-            seed: 5,
-            sessions: 1,
-        });
-        assert!(report.passed(), "{}", report.summary());
-        assert!(report.trials.iter().all(|t| !t.faulted));
-        assert_eq!(report.sessions_quarantined, 0);
     }
 
     // -- shared weights + the pad ledger -------------------------------------

@@ -20,8 +20,10 @@
 //! - [`wire`] (`seculator-wire`) — the `SWP1` serving protocol:
 //!   CRC32-framed messages, challenge–response auth, TCP + loopback
 //!   transports, and the `seculatord` daemon engine.
-//! - [`client`] (`seculator-client`) — the typed daemon client and the
-//!   deterministic loopback conformance campaign.
+//! - [`client`] (`seculator-client`) — the typed daemon client.
+//! - [`campaigns`] (`seculator-campaigns`) — the seeded fault, crash,
+//!   serve, chaos, restart and daemon campaigns that attack all of the
+//!   above from outside the library.
 //!
 //! # Quickstart
 //!
@@ -38,6 +40,7 @@
 //! ```
 
 pub use seculator_arch as arch;
+pub use seculator_campaigns as campaigns;
 pub use seculator_client as client;
 pub use seculator_compute as compute;
 pub use seculator_core as core;

@@ -13,19 +13,19 @@ use seculator::arch::dataflow::{ConvDataflow, Dataflow};
 use seculator::arch::layer::{ConvShape, LayerDesc, LayerKind};
 use seculator::arch::tiling::TileConfig;
 use seculator::arch::trace::LayerSchedule;
+use seculator::campaigns::{
+    defaults, run_chaos_campaign, run_crash_campaign, run_daemon_campaign, run_fault_campaign,
+    run_restart_campaign, run_serve_campaign, Report,
+};
+use seculator::client::{Client, ClientError};
 use seculator::core::secure_infer::Instruments;
 use seculator::core::storage::table7_rows;
 use seculator::core::telemetry;
 use seculator::core::{
-    atomic_write, campaign_models, infer_journaled, output_digest, run_campaign,
-    run_chaos_campaign, run_crash_campaign, run_persistent, run_restart_vfs_campaign,
-    run_serve_campaign, Attack, CampaignConfig, ChaosCampaignConfig, CrashCampaignConfig,
+    atomic_write, campaign_models, infer_journaled, output_digest, run_persistent, Attack,
     CrashClock, DurableError, DurableState, FunctionalNpu, PadTracker, PersistentStats, SchemeKind,
-    ServeCampaignConfig, StdVfs, TimingNpu,
+    StdVfs, TimingNpu,
 };
-
-mod restart;
-use seculator::client::{run_daemon_campaign, Client, ClientError, DaemonCampaignConfig};
 use seculator::crypto::DeviceSecret;
 use seculator::models::{zoo, Network};
 use seculator::sim::config::NpuConfig;
@@ -42,7 +42,8 @@ fn usage() -> ! {
            compare  --network <name>                   all designs side by side\n\
            patterns [--k N --c N --hw N]               derive VN patterns\n\
            attack                                      functional attack demo\n\
-           fault-campaign [--seed N --faults K]        seeded fault-injection sweep\n\
+           fault-campaign [--seed N --faults K --clean J]\n\
+                                                       seeded fault-injection sweep\n\
            crash-campaign [--seed N --cuts K]          seeded power-loss + resume sweep\n\
            serve-campaign [--seed N --sessions K]      multi-session scheduler + isolation sweep\n\
            chaos-campaign [--seed N --sessions K]      faults × power cuts across concurrent tenants\n\
@@ -80,17 +81,30 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses a numeric `--name N` option. An *absent* option takes the
-/// default; a present-but-malformed value is a usage error (exit 2) —
-/// the campaign exit-code contract reserves 1 for detection misses, so
-/// a typo must never be silently swallowed into a passing run.
-fn num_opt(args: &[String], name: &str, default: u64) -> u64 {
+/// Parses a numeric `--name N` option as a `T` (`u32` or `u64`). An
+/// *absent* option takes the default; a malformed or out-of-range value
+/// is a usage error (exit 2) — the campaign exit-code contract reserves
+/// 1 for detection misses, so a typo must never be swallowed, and a
+/// `u32` option must never be truncated, into a passing run.
+fn num_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match opt(args, name) {
         None => default,
         Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {name}: `{v}`");
+            eprintln!(
+                "invalid value for {name}: `{v}` (expected a {})",
+                std::any::type_name::<T>()
+            );
             usage()
         }),
+    }
+}
+
+/// A size option that leaves a campaign nothing to run is a usage error:
+/// exit 2 before anything runs, never a vacuous verdict.
+fn require_work(has_work: bool, what: &str) {
+    if !has_work {
+        eprintln!("nothing to run: {what}");
+        usage()
     }
 }
 
@@ -199,17 +213,32 @@ fn configure_backend(args: &[String]) {
 }
 
 /// Writes the telemetry snapshot to the global `--metrics` path, if one
-/// was given. Called on every exit path that follows a completed run, so
-/// campaign failures (exit 1) still leave their counters behind.
-fn write_metrics(path: Option<&str>) {
+/// was given, with `rows` as its `layers` array. Called on every exit
+/// path that follows a completed run, so campaign failures (exit 1)
+/// still leave their counters behind.
+fn write_metrics(path: Option<&str>, rows: &[telemetry::LayerRow]) {
     let Some(path) = path else { return };
-    let json = telemetry::snapshot().to_json();
+    let mut snap = telemetry::snapshot();
+    snap.layers = rows.to_vec();
+    let json = snap.to_json();
     // Atomic (temp + fsync + rename): a crash mid-write must never leave
     // a torn half-JSON where a dashboard expects a snapshot.
     if let Err(e) = atomic_write(std::path::Path::new(path), json.as_bytes()) {
         eprintln!("cannot write --metrics file `{path}`: {e}");
         std::process::exit(2);
     }
+}
+
+/// The one exit path every campaign shares: print the header, run the
+/// campaign, print its report, write `--metrics` (with the per-session
+/// rows when the campaign has them), and exit 1 unless every oracle
+/// held.
+fn campaign<R: Report>(header: &str, metrics_path: Option<&str>, run: impl FnOnce() -> R) -> ! {
+    println!("{header}\n");
+    let report = run();
+    println!("{}", report.summary());
+    write_metrics(metrics_path, report.session_rows());
+    std::process::exit(if report.passed() { 0 } else { 1 })
 }
 
 /// The `stats` workload: one journaled inference per campaign model,
@@ -268,7 +297,7 @@ fn stats_workload() -> Vec<telemetry::LayerRow> {
 /// One process life of the durable engine: open (or resume) the on-disk
 /// home, run to completion or to the armed cut, and report over stdout.
 ///
-/// Exit contract (consumed by `restart::run_process_campaign`):
+/// Exit contract (consumed by the restart campaign's process phase):
 /// - exit 0 — inference complete; `digest=`/`epoch=`/`resumed=`/... lines
 ///   on stdout (plus `steps=` under `--cut count`)
 /// - death by SIGKILL — the armed [`CrashClock`] fired; the worker
@@ -500,12 +529,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "patterns" => {
-            let get = |name: &str, default: u32| {
-                opt(&args, name)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(default)
-            };
-            let (k, c, hw) = (get("--k", 32), get("--c", 16), get("--hw", 32));
+            let (k, c, hw) = (
+                num_opt(&args, "--k", 32u32),
+                num_opt(&args, "--c", 16u32),
+                num_opt(&args, "--hw", 32u32),
+            );
             let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(k, c, hw, 3)));
             let tiling = TileConfig {
                 kt: (k / 4).max(1),
@@ -581,146 +609,78 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "fault-campaign" => {
-            let cfg = CampaignConfig {
-                seed: num_opt(&args, "--seed", 42),
-                faults: num_opt(&args, "--faults", 26) as u32,
-                clean_trials: num_opt(&args, "--clean", 8) as u32,
-                ..CampaignConfig::default()
-            };
-            println!(
-                "fault campaign: seed {} / {} fault trials / {} clean controls\n",
-                cfg.seed, cfg.faults, cfg.clean_trials
-            );
-            let report = run_campaign(&cfg);
-            println!("{}", report.summary());
-            if !report.passed() {
-                write_metrics(metrics_path.as_deref());
-                std::process::exit(1);
-            }
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let faults = num_opt(&args, "--faults", defaults::FAULTS);
+            let clean = num_opt(&args, "--clean", defaults::CLEAN);
+            require_work(faults > 0 || clean > 0, "--faults 0 --clean 0");
+            campaign(
+                &format!(
+                    "fault campaign: seed {seed} / {faults} fault trials / {clean} clean controls"
+                ),
+                metrics_path.as_deref(),
+                || run_fault_campaign(seed, faults, clean),
+            )
         }
         "crash-campaign" => {
-            let cfg = CrashCampaignConfig {
-                seed: num_opt(&args, "--seed", 42),
-                cuts_per_model: num_opt(&args, "--cuts", 70) as u32,
-            };
-            println!(
-                "crash campaign: seed {} / {} cuts per model\n",
-                cfg.seed, cfg.cuts_per_model
-            );
-            let report = run_crash_campaign(&cfg);
-            println!("{}", report.summary());
-            if !report.passed() {
-                write_metrics(metrics_path.as_deref());
-                std::process::exit(1);
-            }
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let cuts = num_opt(&args, "--cuts", defaults::CRASH_CUTS);
+            require_work(cuts > 0, "--cuts 0");
+            campaign(
+                &format!("crash campaign: seed {seed} / {cuts} cuts per model"),
+                metrics_path.as_deref(),
+                || run_crash_campaign(seed, cuts),
+            )
         }
         "serve-campaign" => {
-            let cfg = ServeCampaignConfig {
-                seed: num_opt(&args, "--seed", 42),
-                sessions: num_opt(&args, "--sessions", 4) as u32,
-            };
-            println!(
-                "serve campaign: seed {} / {} sessions\n",
-                cfg.seed, cfg.sessions
-            );
-            let report = run_serve_campaign(&cfg);
-            println!("{}", report.summary());
-            if let Some(path) = metrics_path.as_deref() {
-                // Per-session stage-time rows ride along in the
-                // snapshot's `layers` array, keyed by tenant id.
-                let mut snap = telemetry::snapshot();
-                snap.layers = report.session_rows.clone();
-                if let Err(e) = atomic_write(std::path::Path::new(path), snap.to_json().as_bytes())
-                {
-                    eprintln!("cannot write --metrics file `{path}`: {e}");
-                    std::process::exit(2);
-                }
-            }
-            if !report.passed() {
-                std::process::exit(1);
-            }
-            return Ok(());
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let sessions = num_opt(&args, "--sessions", defaults::SESSIONS);
+            require_work(sessions > 0, "--sessions 0");
+            campaign(
+                &format!("serve campaign: seed {seed} / {sessions} sessions"),
+                metrics_path.as_deref(),
+                || run_serve_campaign(seed, sessions),
+            )
         }
         "chaos-campaign" => {
-            let cfg = ChaosCampaignConfig {
-                seed: num_opt(&args, "--seed", 42),
-                sessions: num_opt(&args, "--sessions", 8) as u32,
-            };
-            println!(
-                "chaos campaign: seed {} / {} sessions\n",
-                cfg.seed, cfg.sessions
-            );
-            let report = run_chaos_campaign(&cfg);
-            println!("{}", report.summary());
-            if let Some(path) = metrics_path.as_deref() {
-                // Per-session stage-time rows ride along in the
-                // snapshot's `layers` array, keyed by tenant id.
-                let mut snap = telemetry::snapshot();
-                snap.layers = report.session_rows.clone();
-                if let Err(e) = atomic_write(std::path::Path::new(path), snap.to_json().as_bytes())
-                {
-                    eprintln!("cannot write --metrics file `{path}`: {e}");
-                    std::process::exit(2);
-                }
-            }
-            if !report.passed() {
-                std::process::exit(1);
-            }
-            return Ok(());
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let sessions = num_opt(&args, "--sessions", defaults::CHAOS_SESSIONS);
+            require_work(sessions > 0, "--sessions 0");
+            campaign(
+                &format!("chaos campaign: seed {seed} / {sessions} sessions"),
+                metrics_path.as_deref(),
+                || run_chaos_campaign(seed, sessions),
+            )
         }
         "restart-campaign" => {
-            let seed = num_opt(&args, "--seed", 42);
-            let cuts = num_opt(&args, "--cuts", 14) as u32;
-            let proc_cuts = num_opt(&args, "--proc-cuts", 4) as u32;
-            println!(
-                "restart campaign: seed {seed} / {cuts} vfs cuts + {proc_cuts} process cuts per model\n"
-            );
-            // Phase A: in-process, behind the fault-injecting VFS — power
-            // cuts that drop the page cache, short writes, torn renames,
-            // bit rot, lost fsyncs. Deterministic per seed.
-            let vfs_report = run_restart_vfs_campaign(seculator::core::RestartCampaignConfig {
-                seed,
-                cuts_per_model: cuts,
-            });
-            println!("{}", vfs_report.to_text());
-            // Phase B: real child processes killed with SIGKILL at seeded
-            // instants, reopened from the actual filesystem. `--proc-cuts 0`
-            // skips it (fast VFS-only sweeps, e.g. CI determinism diffs).
-            let proc_pass = if proc_cuts == 0 {
-                println!("restart campaign (process kill -9): skipped (--proc-cuts 0)");
-                true
-            } else {
-                let proc_report = restart::run_process_campaign(seed, proc_cuts);
-                println!("{}", proc_report.to_text());
-                proc_report.pass()
-            };
-            write_metrics(metrics_path.as_deref());
-            if !vfs_report.pass() || !proc_pass {
-                std::process::exit(1);
-            }
-            return Ok(());
+            // Phase A runs in-process behind the fault-injecting VFS;
+            // phase B kills real child processes with SIGKILL.
+            // `--proc-cuts 0` skips phase B (fast VFS-only sweeps).
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let cuts = num_opt(&args, "--cuts", defaults::RESTART_CUTS);
+            let proc_cuts = num_opt(&args, "--proc-cuts", defaults::PROC_CUTS);
+            require_work(cuts > 0, "--cuts 0");
+            campaign(
+                &format!(
+                    "restart campaign: seed {seed} / {cuts} vfs cuts + {proc_cuts} process cuts per model"
+                ),
+                metrics_path.as_deref(),
+                || run_restart_campaign(seed, cuts, proc_cuts),
+            )
         }
         "daemon" => {
-            let seed = num_opt(&args, "--seed", 42);
+            let seed = num_opt(&args, "--seed", defaults::SEED);
             let home_root = opt(&args, "--home").map(std::path::PathBuf::from);
             if args.iter().any(|a| a == "--loopback") {
-                let cfg = DaemonCampaignConfig {
-                    seed,
-                    sessions: num_opt(&args, "--sessions", 4) as u32,
-                    home_root,
-                    load_requests: num_opt(&args, "--requests", 0) as u32,
-                };
-                println!(
-                    "daemon loopback campaign: seed {} / {} sessions / {} load requests\n",
-                    cfg.seed, cfg.sessions, cfg.load_requests
-                );
-                let report = run_daemon_campaign(&cfg);
-                println!("{}", report.summary());
-                write_metrics(metrics_path.as_deref());
-                if !report.passed() {
-                    std::process::exit(1);
-                }
-                return Ok(());
+                let sessions = num_opt(&args, "--sessions", defaults::SESSIONS);
+                let requests = num_opt(&args, "--requests", defaults::LOAD_REQUESTS);
+                require_work(sessions > 0, "--sessions 0");
+                campaign(
+                    &format!(
+                        "daemon loopback campaign: seed {seed} / {sessions} sessions / {requests} load requests"
+                    ),
+                    metrics_path.as_deref(),
+                    || run_daemon_campaign(seed, sessions, home_root.as_deref(), requests),
+                )
             }
             let Some(listen) = opt(&args, "--listen") else {
                 eprintln!("daemon needs --listen ADDR or --loopback");
@@ -733,7 +693,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 home_root,
                 num_opt(&args, "--max-requests", 0),
             );
-            write_metrics(metrics_path.as_deref());
+            write_metrics(metrics_path.as_deref(), &[]);
             return Ok(());
         }
         "submit" => {
@@ -741,8 +701,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 eprintln!("submit needs --connect HOST:PORT");
                 usage()
             };
-            let seed = num_opt(&args, "--seed", 42);
-            let tenant = num_opt(&args, "--tenant", 0) as u32;
+            let seed = num_opt(&args, "--seed", defaults::SEED);
+            let tenant = num_opt(&args, "--tenant", 0u32);
             let model_name = opt(&args, "--model").unwrap_or_else(|| "grouped-cnn".into());
             let request = num_opt(&args, "--request", 0);
             let models = campaign_models();
@@ -845,6 +805,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         _ => usage(),
     }
-    write_metrics(metrics_path.as_deref());
+    write_metrics(metrics_path.as_deref(), &[]);
     Ok(())
 }

@@ -97,6 +97,60 @@ verdict             : PASS
     }
 }
 
+/// Every other campaign's whole report, pinned byte for byte (files
+/// under `tests/pinned/`), at the default crypto thread count and again
+/// at `--threads 1`: a moved driver that changes one draw, one count or
+/// one line fails here even when its verdict still reads PASS.
+#[test]
+fn campaign_reports_are_pinned() {
+    for (args, expected) in [
+        (
+            &["crash-campaign", "--seed", "7", "--cuts", "10"][..],
+            include_str!("pinned/crash-campaign-seed7-cuts10.txt"),
+        ),
+        (
+            &["serve-campaign", "--seed", "7", "--sessions", "4"][..],
+            include_str!("pinned/serve-campaign-seed7-sessions4.txt"),
+        ),
+        (
+            &["chaos-campaign", "--seed", "11", "--sessions", "4"][..],
+            include_str!("pinned/chaos-campaign-seed11-sessions4.txt"),
+        ),
+        (
+            &[
+                "restart-campaign",
+                "--seed",
+                "7",
+                "--cuts",
+                "10",
+                "--proc-cuts",
+                "1",
+            ][..],
+            include_str!("pinned/restart-campaign-seed7-cuts10-proc1.txt"),
+        ),
+        (
+            &[
+                "daemon",
+                "--loopback",
+                "--seed",
+                "7",
+                "--sessions",
+                "4",
+                "--requests",
+                "1",
+            ][..],
+            include_str!("pinned/daemon-loopback-seed7-sessions4-requests1.txt"),
+        ),
+    ] {
+        let pinned_threads = [args, &["--threads", "1"]].concat();
+        for run_args in [args, &pinned_threads[..]] {
+            let (code, stdout, stderr) = run_code(run_args);
+            assert_eq!(code, Some(0), "{run_args:?}: {stderr}");
+            assert_eq!(stdout, expected, "{run_args:?}");
+        }
+    }
+}
+
 #[test]
 fn patterns_subcommand_draws_plots() {
     let (ok, stdout, _) = run(&["patterns", "--k", "8", "--c", "4", "--hw", "8"]);
@@ -180,9 +234,69 @@ fn campaigns_share_the_exit_code_contract() {
     let (code, _, stderr) = run_code(&["serve-campaign", "--sessions", "several"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("invalid value for --sessions"), "{stderr}");
+    // A 32-bit size is range-checked, never truncated: 2^32 + 1 is a
+    // usage error, not a one-session (or one-cut) run that passes.
+    for (campaign, option) in [
+        ("serve-campaign", "--sessions"),
+        ("crash-campaign", "--cuts"),
+    ] {
+        let (code, stdout, stderr) = run_code(&[campaign, option, "4294967297"]);
+        assert_eq!(code, Some(2), "{campaign} {option} 2^32+1: {stdout}");
+        assert!(stdout.is_empty(), "nothing may run: {stdout}");
+        assert!(
+            stderr.contains(&format!("invalid value for {option}")),
+            "{stderr}"
+        );
+    }
+    // Non-campaign numeric options share the contract.
+    let (code, stdout, stderr) = run_code(&["patterns", "--k", "banana"]);
+    assert_eq!(code, Some(2), "patterns --k banana: {stdout}");
+    assert!(stderr.contains("invalid value for --k"), "{stderr}");
     // Unknown commands are usage errors too (exit 2, not 1).
     let (code, _, _) = run_code(&["frobnicate"]);
     assert_eq!(code, Some(2));
+}
+
+/// A size option that leaves a campaign nothing to run is a usage error
+/// (exit 2 before anything runs), never a vacuous PASS, a FAIL, or a
+/// silently resized run. `--proc-cuts 0` still skips only the restart
+/// campaign's process phase, and `--faults 0` with clean controls is
+/// still a false-positive-only run.
+#[test]
+fn empty_sweeps_are_usage_errors() {
+    for args in [
+        &["fault-campaign", "--faults", "0", "--clean", "0"][..],
+        &["crash-campaign", "--cuts", "0"],
+        &["serve-campaign", "--sessions", "0"],
+        &["chaos-campaign", "--sessions", "0"],
+        &["restart-campaign", "--cuts", "0", "--proc-cuts", "0"],
+        &["restart-campaign", "--cuts", "0"],
+        &["daemon", "--loopback", "--sessions", "0"],
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+        assert!(stderr.contains("nothing to run"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    let (code, stdout, _) = run_code(&[
+        "restart-campaign",
+        "--seed",
+        "7",
+        "--cuts",
+        "1",
+        "--proc-cuts",
+        "0",
+    ]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.ends_with("restart campaign (process kill -9): skipped (--proc-cuts 0)\n"),
+        "{stdout}"
+    );
+    let (code, stdout, _) = run_code(&["fault-campaign", "--faults", "0", "--clean", "2"]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("0 injected, 2 clean controls"), "{stdout}");
+    assert!(stdout.contains("false positives     : 0"), "{stdout}");
 }
 
 fn run_env(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {

@@ -516,23 +516,17 @@ fn every_zoo_model_served_over_the_loopback_wire_is_bit_identical() {
 
 /// Daemon ≡ serve campaign for the same seed: both campaigns check
 /// every clean tenant against the *identical* solo journaled reference
-/// (same `serve_plan`, same derived keys), so both passing is a
+/// (same serve plan, same derived keys), so both passing is a
 /// transitive proof that the wire-served outputs equal the
 /// serve-campaign outputs bit-for-bit.
 #[test]
 fn daemon_campaign_matches_the_serve_campaign_for_the_same_seed() {
-    use seculator::client::{run_daemon_campaign, DaemonCampaignConfig};
-    use seculator::core::{run_serve_campaign, ServeCampaignConfig};
+    use seculator::campaigns::{run_daemon_campaign, run_serve_campaign, Report};
 
     let seed = 0xDA_E0A5u64 ^ 0x5EC0;
-    let daemon = run_daemon_campaign(&DaemonCampaignConfig {
-        seed,
-        sessions: 5,
-        home_root: None,
-        load_requests: 0,
-    });
+    let daemon = run_daemon_campaign(seed, 5, None, 0);
     assert!(daemon.passed(), "daemon campaign:\n{}", daemon.summary());
-    let serve = run_serve_campaign(&ServeCampaignConfig { seed, sessions: 5 });
+    let serve = run_serve_campaign(seed, 5);
     assert!(serve.passed(), "serve campaign:\n{}", serve.summary());
 }
 

@@ -2,8 +2,9 @@
 //! instant of a protected inference, freshness-preserving resume, the
 //! full default crash campaign, and the durable write-ahead rule.
 
+use seculator::campaigns::{defaults, run_crash_campaign, Report};
 use seculator::compute::quant::{QTensor3, QTensor4};
-use seculator::core::journal::{run_crash_campaign, CrashCampaignConfig, DurableState, PadTracker};
+use seculator::core::journal::{DurableState, PadTracker};
 use seculator::core::secure_infer::{
     infer_journaled, infer_plain, infer_resume, Instruments, JournaledError, QConvLayer,
     RecoveryPolicy, SecureSession,
@@ -105,8 +106,7 @@ fn every_cut_point_resumes_bit_exact() {
 /// ≥3 models, zero pad reuse, zero stale acceptances, all trials green.
 #[test]
 fn default_crash_campaign_passes_the_acceptance_bar() {
-    let cfg = CrashCampaignConfig::default();
-    let report = run_crash_campaign(&cfg);
+    let report = run_crash_campaign(defaults::SEED, defaults::CRASH_CUTS);
     assert!(report.models >= 3, "≥3 models required");
     assert!(report.trials.len() >= 200, "≥200 cut points required");
     assert_eq!(report.pad_reuses, 0, "no counter is ever reused");

@@ -4,14 +4,15 @@
 //! audit record — and the deterministic campaign meets the acceptance
 //! bar (100 % detection, 0 false positives, no silent corruption).
 
+use seculator::campaigns::{defaults, run_fault_campaign, Report};
 use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::secure_infer::{
     infer_journaled, infer_plain, Instruments, JournaledError, JournaledRun, QConvLayer,
     RecoveryPolicy, SecureSession,
 };
 use seculator::core::{
-    run_campaign, AbortReport, CampaignConfig, DurableState, FaultInjector, FaultKind, FaultSpec,
-    PadTracker, Persistence, RecoveryAction, SecurityError,
+    AbortReport, DurableState, FaultInjector, FaultKind, FaultSpec, PadTracker, Persistence,
+    RecoveryAction, SecurityError,
 };
 use seculator::crypto::DeviceSecret;
 
@@ -212,7 +213,7 @@ fn clean_resilient_run_matches_plain_and_protected_pipelines() {
 
 #[test]
 fn campaign_seed_42_meets_the_acceptance_bar() {
-    let report = run_campaign(&CampaignConfig::default());
+    let report = run_fault_campaign(defaults::SEED, defaults::FAULTS, defaults::CLEAN);
     assert!(
         (report.detection_rate() - 1.0).abs() < f64::EPSILON,
         "100%% detection required:\n{}",
@@ -239,13 +240,11 @@ fn campaign_seed_42_meets_the_acceptance_bar() {
 
 #[test]
 fn campaign_is_reproducible_and_seed_sensitive() {
-    let a = run_campaign(&CampaignConfig::default());
-    let b = run_campaign(&CampaignConfig::default());
+    let default_campaign = |seed| run_fault_campaign(seed, defaults::FAULTS, defaults::CLEAN);
+    let a = default_campaign(defaults::SEED);
+    let b = default_campaign(defaults::SEED);
     assert_eq!(a, b, "same seed, same campaign");
-    let c = run_campaign(&CampaignConfig {
-        seed: 43,
-        ..CampaignConfig::default()
-    });
+    let c = default_campaign(43);
     assert!(c.passed(), "any seed must pass:\n{}", c.summary());
     assert_ne!(
         a.trials, c.trials,

@@ -5,13 +5,13 @@
 //! tenant — the fail-closed blast radius is exactly one session.
 
 use proptest::prelude::*;
+use seculator::campaigns::run_serve_campaign;
 use seculator::core::journal::{campaign_models, DurableState, PadTracker};
 use seculator::core::secure_infer::Instruments;
 use seculator::core::telemetry::{self, LayerRow};
 use seculator::core::{
-    infer_journaled, run_serve_campaign, AdmitSpec, CrashClock, FaultInjector, FaultKind,
-    FaultSpec, JournaledError, Persistence, RobustnessPolicy, SecurityError, ServeCampaignConfig,
-    SessionManager, SessionVerdict,
+    infer_journaled, AdmitSpec, CrashClock, FaultInjector, FaultKind, FaultSpec, JournaledError,
+    Persistence, RobustnessPolicy, SecurityError, SessionManager, SessionVerdict,
 };
 use seculator::crypto::DeviceSecret;
 use std::sync::Arc;
@@ -424,10 +424,7 @@ fn retry_storms_never_reuse_a_ctr_pad() {
 /// however many events a run produces.
 #[test]
 fn serve_campaign_rows_are_complete_for_every_tenant() {
-    let report = run_serve_campaign(&ServeCampaignConfig {
-        seed: 7,
-        sessions: 300,
-    });
+    let report = run_serve_campaign(7, 300);
     let tenants: Vec<u64> = report.session_rows.iter().map(|r| r.layer).collect();
     assert_eq!(tenants, (0..300).collect::<Vec<u64>>());
     for r in &report.session_rows {

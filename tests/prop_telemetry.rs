@@ -136,7 +136,7 @@ fn concurrent_increments_lose_nothing() {
 /// true tallies.
 #[test]
 fn chaos_robustness_counters_are_conserved() {
-    use seculator::core::{run_chaos_campaign, ChaosCampaignConfig};
+    use seculator::campaigns::{run_chaos_campaign, Report};
 
     const ROBUST: [Counter; 4] = [
         Counter::SessionRetries,
@@ -146,10 +146,7 @@ fn chaos_robustness_counters_are_conserved() {
     ];
     let _guard = exact_delta_guard();
     let before: Vec<u64> = ROBUST.iter().map(|&c| telemetry::get(c)).collect();
-    let report = run_chaos_campaign(&ChaosCampaignConfig {
-        seed: 42,
-        sessions: 8,
-    });
+    let report = run_chaos_campaign(42, 8);
     assert!(
         report.passed(),
         "chaos campaign fails:\n{}",
@@ -187,7 +184,7 @@ fn chaos_robustness_counters_are_conserved() {
 /// telemetry counter in the same method that builds the report tally.
 #[test]
 fn restart_campaign_durable_counters_are_conserved() {
-    use seculator::core::{run_restart_vfs_campaign, RestartCampaignConfig};
+    use seculator::campaigns::{run_restart_campaign, Report};
 
     const DURABLE: [Counter; 4] = [
         Counter::JournalFsyncs,
@@ -197,14 +194,13 @@ fn restart_campaign_durable_counters_are_conserved() {
     ];
     let _guard = exact_delta_guard();
     let before: Vec<u64> = DURABLE.iter().map(|&c| telemetry::get(c)).collect();
-    let report = run_restart_vfs_campaign(RestartCampaignConfig {
-        seed: 42,
-        cuts_per_model: 7,
-    });
+    // The process phase is skipped: its children would be this test
+    // binary, not the `seculator` worker.
+    let report = run_restart_campaign(42, 7, 0);
     assert!(
-        report.pass(),
+        report.passed(),
         "restart campaign fails:\n{}",
-        report.to_text()
+        report.summary()
     );
     let claimed = [
         report.stats.fsyncs,
@@ -219,7 +215,7 @@ fn restart_campaign_durable_counters_are_conserved() {
             want,
             "`{}` diverged from the restart report\n{}",
             c.name(),
-            report.to_text()
+            report.summary()
         );
     }
     // The sweep must actually exercise the layer being conserved: kills
@@ -227,7 +223,7 @@ fn restart_campaign_durable_counters_are_conserved() {
     assert!(
         report.stats.restart_resumes > 0 && report.stats.torn_tails_repaired > 0,
         "seed 42 must drive resumes and on-disk torn-tail repairs:\n{}",
-        report.to_text()
+        report.summary()
     );
 }
 
@@ -363,7 +359,7 @@ fn backend_dispatch_counters_are_conserved() {
 /// while the deterministic stats mirror still carries the true tallies.
 #[test]
 fn daemon_wire_counters_are_conserved() {
-    use seculator::client::{run_daemon_campaign, DaemonCampaignConfig};
+    use seculator::campaigns::{run_daemon_campaign, Report};
 
     const WIRE: [Counter; 4] = [
         Counter::ConnectionsAccepted,
@@ -373,12 +369,7 @@ fn daemon_wire_counters_are_conserved() {
     ];
     let _guard = exact_delta_guard();
     let before: Vec<u64> = WIRE.iter().map(|&c| telemetry::get(c)).collect();
-    let report = run_daemon_campaign(&DaemonCampaignConfig {
-        seed: 0x7E1E_CAFE,
-        sessions: 4,
-        home_root: None,
-        load_requests: 1,
-    });
+    let report = run_daemon_campaign(0x7E1E_CAFE, 4, None, 1);
     assert!(
         report.passed(),
         "daemon campaign fails:\n{}",

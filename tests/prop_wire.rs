@@ -7,20 +7,10 @@
 
 use proptest::prelude::*;
 use seculator::compute::quant::QTensor3;
-use seculator::core::crc32;
+use seculator::core::{crc32, splitmix as mix};
 use seculator::wire::{
     decode_frame, encode_frame, FrameDecoder, Message, RequestState, WireError, MAX_FRAME,
 };
-
-/// splitmix64 — expands one seed into every field a message needs, so a
-/// single `u64` strategy covers arbitrary contents deterministically.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn detail_from(rng: &mut u64) -> String {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 .;:()=-";
