@@ -1,24 +1,31 @@
-//! Schedule-driven tiled execution: replays a `LayerSchedule`'s steps and
-//! performs the *actual arithmetic* each step implies — partial
-//! convolutions over the step's (spatial tile × channel group × output
-//! group) region, accumulated in the same order the NPU would.
+//! Schedule replay: executes a convolution layer in int8 by walking its
+//! `LayerSchedule` trace step by step and performing the arithmetic each
+//! step implies — the partial convolution over the step's (spatial tile
+//! × output group × channel group) region, accumulated in the order the
+//! NPU issues the steps.
 //!
-//! This closes the loop between the trace machinery and real computation:
-//! the property tests assert that executing *any* dataflow of paper
-//! Table 2/3 over random tensors reproduces the direct reference
-//! convolution exactly, which means the tile schedules (and therefore the
-//! VN patterns derived from them) correspond to a real, correct
-//! computation order.
+//! The region is read off the trace itself, not rebuilt from the
+//! schedule's loop nest: the step's ofmap `Write` names the output tile
+//! (`tile = spatial · α_K + group`) and its version number names the
+//! channel group (`VN − 1` for the accumulating shapes; a single-write
+//! step accumulates every channel group on chip). Property tests show
+//! every dataflow of the paper's Tables 2–3 reproduces [`qconv2d`] bit
+//! for bit, so the traces — and the VN patterns derived from them —
+//! describe a real computation.
+//!
+//! [`qconv2d`]: crate::quant::qconv2d
 
-use crate::reference::conv2d;
-use crate::tensor::{Tensor3, Tensor4};
+use std::ops::Range;
+
+use crate::quant::{Operands, QAccum3, QTensor3, QTensor4};
 use seculator_arch::dataflow::ScheduleShape;
-use seculator_arch::trace::LayerSchedule;
+use seculator_arch::layer::LayerKind;
+use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass};
 
-/// Errors from the tiled executor.
+/// Errors from the schedule replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// Input tensor shape does not match the schedule's layer.
+    /// The operands do not fit the schedule's layer.
     ShapeMismatch {
         /// Human-readable description of the mismatch.
         what: &'static str,
@@ -35,190 +42,138 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Executes a convolution layer tile by tile in the schedule's loop
-/// order, returning the output feature maps.
-///
-/// The iteration space is reconstructed from the schedule's
-/// [`ScheduleShape`] and alphas: for each (spatial tile `st`, channel
-/// group `ct`, output group `kt`) visited in schedule order, the partial
-/// convolution restricted to those ranges is accumulated into the output
-/// — exactly the computation the NPU performs between the tile reads and
-/// the tile write of that step.
+/// Replays a convolution schedule's trace ([`LayerSchedule::for_each_step`])
+/// in int8, returning the exact i32 accumulators.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::ShapeMismatch`] when tensor shapes disagree with
-/// the layer descriptor.
-pub fn execute_conv(
+/// Returns [`ExecError::ShapeMismatch`] when the layer is not a
+/// convolution or a tensor's shape disagrees with the layer.
+///
+/// # Panics
+///
+/// Panics if a trace step carries no ofmap write (every schedule shape
+/// ends each step with one).
+pub fn execute_qconv(
     schedule: &LayerSchedule,
-    input: &Tensor3,
-    weights: &Tensor4,
-) -> Result<Tensor3, ExecError> {
-    let dims = schedule.layer().dims();
-    let stride = match schedule.layer().kind {
-        seculator_arch::layer::LayerKind::Conv(s) => s.stride as usize,
-        _ => 1,
+    input: &QTensor3,
+    weights: &QTensor4,
+) -> Result<QAccum3, ExecError> {
+    let LayerKind::Conv(conv) = schedule.layer().kind else {
+        return Err(ExecError::ShapeMismatch {
+            what: "layer is not a convolution",
+        });
     };
-    if input.c != dims.c as usize || input.h != dims.in_h as usize || input.w != dims.in_w as usize
-    {
+    let d = schedule.layer().dims();
+    let [k, c, h, w, in_h, in_w, r, s] =
+        [d.k, d.c, d.h, d.w, d.in_h, d.in_w, d.r, d.s].map(|v| v as usize);
+    if (input.c, input.h, input.w) != (c, in_h, in_w) {
         return Err(ExecError::ShapeMismatch {
             what: "input tensor vs layer dims",
         });
     }
-    if weights.k != dims.k as usize || weights.c != dims.c as usize {
+    if (weights.k, weights.c, weights.r, weights.s) != (k, c, r, s) {
         return Err(ExecError::ShapeMismatch {
             what: "weight tensor vs layer dims",
         });
     }
 
-    let t = schedule.spec().tiling;
-    let a = schedule.spec().alphas;
-    let (kt, ct) = (t.kt as usize, t.ct as usize);
-    let (ht, wt) = (t.ht as usize, t.wt as usize);
-    let out_h = dims.h as usize;
-    let out_w = dims.w as usize;
-    let spatial_cols = out_w.div_ceil(wt);
-    let pad_r = (weights.r as isize - 1) / 2;
-    let pad_s = (weights.s as isize - 1) / 2;
-
-    let mut out = Tensor3::zeros(dims.k as usize, out_h, out_w);
-
-    // One step's arithmetic: accumulate the (st, ct, kt) partial conv.
-    let mut do_step = |st: usize, ctg: usize, ktg: usize| {
-        let ty = st / spatial_cols;
-        let tx = st % spatial_cols;
-        let y0 = ty * ht;
-        let x0 = tx * wt;
-        for k in ktg * kt..((ktg + 1) * kt).min(dims.k as usize) {
-            for y in y0..(y0 + ht).min(out_h) {
-                for x in x0..(x0 + wt).min(out_w) {
-                    let mut acc = 0.0f32;
-                    for c in ctg * ct..((ctg + 1) * ct).min(dims.c as usize) {
-                        for r in 0..weights.r {
-                            for s in 0..weights.s {
-                                let iy = (y * stride) as isize + r as isize - pad_r;
-                                let ix = (x * stride) as isize + s as isize - pad_s;
-                                acc += input.get_padded(c, iy, ix) * weights.get(k, c, r, s);
-                            }
-                        }
-                    }
-                    *out.at_mut(k, y, x) += acc;
-                }
-            }
-        }
+    let spec = schedule.spec();
+    let t = spec.tiling;
+    let (kt, ct, ht, wt) = (t.kt as usize, t.ct as usize, t.ht as usize, t.wt as usize);
+    let alpha_k = u64::from(spec.alphas.alpha_k);
+    let tile_cols = w.div_ceil(wt);
+    let operands = Operands {
+        input,
+        weights,
+        stride: conv.stride as usize,
     };
 
-    let (ak, ac, ahw) = (a.alpha_k as usize, a.alpha_c as usize, a.alpha_hw as usize);
-    match schedule.spec().shape {
-        ScheduleShape::AccumAlongChannel => {
-            for st in 0..ahw {
-                for ctg in 0..ac {
-                    for ktg in 0..ak {
-                        do_step(st, ctg, ktg);
-                    }
-                }
-            }
-        }
-        ScheduleShape::AccumAlongSpace => {
-            for ctg in 0..ac {
-                for st in 0..ahw {
-                    for ktg in 0..ak {
-                        do_step(st, ctg, ktg);
-                    }
-                }
-            }
-        }
-        ScheduleShape::SingleWrite => {
-            for st in 0..ahw {
-                for ktg in 0..ak {
-                    for ctg in 0..ac {
-                        do_step(st, ctg, ktg);
-                    }
-                }
-            }
-        }
-    }
+    let mut out = operands.output_plane();
+    schedule.for_each_step(|step| {
+        let write = step
+            .accesses
+            .iter()
+            .find(|a| a.tensor == TensorClass::Ofmap && a.op == AccessOp::Write)
+            .expect("every schedule step ends in its ofmap write");
+        let spatial = (write.tile / alpha_k) as usize;
+        let group = (write.tile % alpha_k) as usize;
+        let channels = match spec.shape {
+            ScheduleShape::SingleWrite => 0..c,
+            _ => span(write.vn as usize - 1, ct, c),
+        };
+        let pixels = (
+            span(spatial / tile_cols, ht, h),
+            span(spatial % tile_cols, wt, w),
+        );
+        operands.accumulate(&mut out, span(group, kt, k), pixels, channels);
+    });
     Ok(out)
 }
 
-/// Convenience wrapper: execute and compare against the direct reference,
-/// returning the max absolute error.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from [`execute_conv`].
-pub fn conv_error_vs_reference(
-    schedule: &LayerSchedule,
-    input: &Tensor3,
-    weights: &Tensor4,
-) -> Result<f32, ExecError> {
-    let stride = match schedule.layer().kind {
-        seculator_arch::layer::LayerKind::Conv(s) => s.stride as usize,
-        _ => 1,
-    };
-    let tiled = execute_conv(schedule, input, weights)?;
-    let reference = conv2d(input, weights, stride);
-    Ok(tiled.max_abs_diff(&reference))
+/// The `index`-th tile of `size` along an axis of length `len`
+/// (the last tile may be ragged).
+fn span(index: usize, size: usize, len: usize) -> Range<usize> {
+    index * size..((index + 1) * size).min(len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::qconv2d;
     use seculator_arch::dataflow::{ConvDataflow, Dataflow};
-    use seculator_arch::layer::{ConvShape, LayerDesc, LayerKind};
+    use seculator_arch::layer::{ConvShape, LayerDesc};
     use seculator_arch::tiling::TileConfig;
 
-    fn schedule(df: ConvDataflow, k: u32, c: u32, hw: u32) -> LayerSchedule {
-        let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(k, c, hw, 3)));
-        let tiling = TileConfig {
-            kt: (k / 2).max(1),
-            ct: (c / 2).max(1),
-            ht: hw / 2,
-            wt: hw / 2,
-        };
+    fn schedule(df: ConvDataflow, shape: ConvShape, tiling: TileConfig) -> LayerSchedule {
+        let layer = LayerDesc::new(0, LayerKind::Conv(shape));
         LayerSchedule::new(layer, Dataflow::Conv(df), tiling).expect("resolves")
     }
 
     #[test]
-    fn every_dataflow_computes_the_same_convolution() {
-        let input = Tensor3::seeded(4, 8, 8, 11);
-        let weights = Tensor4::seeded(6, 4, 3, 3, 13);
-        for df in ConvDataflow::ALL {
-            let s = schedule(df, 6, 4, 8);
-            let err = conv_error_vs_reference(&s, &input, &weights).expect("shapes match");
-            assert!(err < 1e-3, "{df:?} diverges from reference: {err}");
-        }
-    }
-
-    #[test]
-    fn non_divisible_tiles_still_compute_correctly() {
-        // K=5 with KT=2 -> ragged last group; H=W=6 with HT=WT=3.
-        let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(5, 3, 6, 3)));
+    fn every_dataflow_replays_the_direct_convolution() {
+        // K=5 over KT=2 and 3×3 tiles over a 7×7 (stride 1) or 4×4
+        // (stride 2) ofmap leave ragged last tiles.
         let tiling = TileConfig {
             kt: 2,
             ct: 2,
             ht: 3,
             wt: 3,
         };
-        let s = LayerSchedule::new(
-            layer,
-            Dataflow::Conv(ConvDataflow::IrMultiChannelAlongChannel),
-            tiling,
-        )
-        .expect("resolves");
-        let input = Tensor3::seeded(3, 6, 6, 21);
-        let weights = Tensor4::seeded(5, 3, 3, 3, 22);
-        let err = conv_error_vs_reference(&s, &input, &weights).expect("shapes match");
-        assert!(err < 1e-3, "ragged tiling diverges: {err}");
+        let input = QTensor3::seeded(4, 7, 7, 11);
+        let weights = QTensor4::seeded(5, 4, 3, 3, 13);
+        for stride in [1, 2] {
+            let shape = ConvShape {
+                stride,
+                ..ConvShape::simple(5, 4, 7, 3)
+            };
+            let direct = qconv2d(&input, &weights, stride as usize);
+            for df in ConvDataflow::ALL {
+                let replayed = execute_qconv(&schedule(df, shape, tiling), &input, &weights);
+                assert_eq!(replayed, Ok(direct.clone()), "{df:?}, stride {stride}");
+            }
+        }
     }
 
     #[test]
     fn shape_mismatch_is_reported() {
-        let s = schedule(ConvDataflow::IrFullChannel, 4, 4, 8);
-        let bad_input = Tensor3::seeded(3, 8, 8, 1);
-        let weights = Tensor4::seeded(4, 4, 3, 3, 2);
+        let shape = ConvShape::simple(4, 4, 8, 3);
+        let tiling = TileConfig {
+            kt: 4,
+            ct: 4,
+            ht: 8,
+            wt: 8,
+        };
+        let s = schedule(ConvDataflow::IrFullChannel, shape, tiling);
+        let weights = QTensor4::seeded(4, 4, 3, 3, 2);
+        let bad_input = QTensor3::seeded(3, 8, 8, 1);
         assert!(matches!(
-            execute_conv(&s, &bad_input, &weights),
+            execute_qconv(&s, &bad_input, &weights),
+            Err(ExecError::ShapeMismatch { .. })
+        ));
+        let bad_filter = QTensor4::seeded(4, 4, 1, 1, 2);
+        assert!(matches!(
+            execute_qconv(&s, &QTensor3::seeded(4, 8, 8, 1), &bad_filter),
             Err(ExecError::ShapeMismatch { .. })
         ));
     }

@@ -1,26 +1,24 @@
 //! # seculator-compute
 //!
-//! Functional tensor arithmetic for the Seculator (HPCA 2023)
-//! reproduction:
+//! Functional int8 tensor arithmetic for the Seculator (HPCA 2023)
+//! reproduction. Products accumulate exactly in `i32`, so every
+//! comparison between two ways of computing a layer is bit equality:
 //!
-//! - [`tensor`] — dense f32 tensors (feature maps, filters, matrices).
-//! - [`mod@reference`] — direct (untiled) convolution / depthwise / pooling /
-//!   matmul, the ground truth.
-//! - [`systolic`] — a bit-exact output-stationary systolic PE grid with
-//!   skewed operand injection, the compute substrate the timing model
-//!   abstracts.
-//! - [`executor`] — schedule-driven tiled execution: replays a
-//!   `LayerSchedule` in its exact loop order and performs the arithmetic
-//!   each step implies. Property tests show every dataflow of the
-//!   paper's Tables 2–3 computes the same convolution as the reference,
-//!   so the VN patterns derived from those schedules describe a real
-//!   computation.
+//! - [`quant`] — int8 tensors and the direct convolution [`qconv2d`]
+//!   (and [`qconv2d_grouped`], the channel-group order serving runs).
+//! - [`executor`] — schedule replay: [`execute_qconv`] walks a
+//!   `LayerSchedule`'s trace step by step and accumulates each step's
+//!   region. Property tests show every dataflow of the paper's Tables
+//!   2–3 reproduces [`qconv2d`] exactly, so the VN patterns derived
+//!   from those schedules describe a real computation.
+//! - [`systolic`] — a cycle-stepped output-stationary systolic PE grid
+//!   with skewed operand injection, the compute substrate the timing
+//!   model abstracts.
 //!
 //! # Example
 //!
 //! ```
-//! use seculator_compute::tensor::{Tensor3, Tensor4};
-//! use seculator_compute::executor::conv_error_vs_reference;
+//! use seculator_compute::{execute_qconv, qconv2d, QTensor3, QTensor4};
 //! use seculator_arch::dataflow::{ConvDataflow, Dataflow};
 //! use seculator_arch::layer::{ConvShape, LayerDesc, LayerKind};
 //! use seculator_arch::tiling::TileConfig;
@@ -32,10 +30,9 @@
 //!     Dataflow::Conv(ConvDataflow::IrMultiChannelAlongChannel),
 //!     TileConfig { kt: 2, ct: 1, ht: 4, wt: 4 },
 //! )?;
-//! let input = Tensor3::seeded(2, 8, 8, 1);
-//! let weights = Tensor4::seeded(4, 2, 3, 3, 2);
-//! let err = conv_error_vs_reference(&schedule, &input, &weights)?;
-//! assert!(err < 1e-3);
+//! let input = QTensor3::seeded(2, 8, 8, 1);
+//! let weights = QTensor4::seeded(4, 2, 3, 3, 2);
+//! assert_eq!(execute_qconv(&schedule, &input, &weights)?, qconv2d(&input, &weights, 1));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -44,11 +41,8 @@
 
 pub mod executor;
 pub mod quant;
-pub mod reference;
 pub mod systolic;
-pub mod tensor;
 
-pub use executor::{conv_error_vs_reference, execute_conv, ExecError};
+pub use executor::{execute_qconv, ExecError};
 pub use quant::{qconv2d, qconv2d_grouped, QAccum3, QTensor3, QTensor4};
 pub use systolic::SystolicGrid;
-pub use tensor::{Matrix, Tensor3, Tensor4};

@@ -1,10 +1,13 @@
-//! Quantized (int8) arithmetic: the datatype real NPUs run inference in.
+//! Quantized (int8) arithmetic: the datatype real NPUs run inference in,
+//! and the crate's only numeric domain.
 //!
-//! Feature maps and weights are `i8` with a per-tensor scale; products
-//! accumulate exactly in `i32`, so — unlike the f32 path — tiled and
-//! direct execution are *bit-identical* regardless of accumulation
-//! order. The equality tests here are exact, which makes the
-//! "every dataflow computes the same result" property airtight.
+//! Feature maps and weights are `i8` with a per-tensor scale (metadata
+//! the wire codec carries; no arithmetic reads it); products accumulate
+//! exactly in `i32`, so tiled and direct execution are *bit-identical*
+//! regardless of accumulation order. Every equality test in the crate
+//! is exact.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -194,86 +197,52 @@ impl QAccum3 {
     pub fn at_mut(&mut self, k: usize, y: usize, x: usize) -> &mut i32 {
         &mut self.data[(k * self.h + y) * self.w + x]
     }
-
-    /// Requantizes to int8 with the combined scale (saturating).
-    #[must_use]
-    pub fn requantize(&self, in_scale: f32, w_scale: f32, out_scale: f32) -> QTensor3 {
-        let mut out = QTensor3::zeros(self.k, self.h, self.w, out_scale);
-        let factor = in_scale * w_scale / out_scale;
-        for k in 0..self.k {
-            for y in 0..self.h {
-                for x in 0..self.w {
-                    let v = (self.get(k, y, x) as f32 * factor).round();
-                    *out.at_mut(k, y, x) = v.clamp(-128.0, 127.0) as i8;
-                }
-            }
-        }
-        out
-    }
 }
 
-/// Direct quantized convolution with exact i32 accumulation
-/// ("same" padding, arbitrary stride).
-///
-/// # Panics
-///
-/// Panics if channel counts disagree or `stride` is zero.
-#[must_use]
-pub fn qconv2d(input: &QTensor3, weights: &QTensor4, stride: usize) -> QAccum3 {
-    assert_eq!(input.c, weights.c, "channel mismatch");
-    assert!(stride > 0, "stride must be positive");
-    let out_h = input.h.div_ceil(stride);
-    let out_w = input.w.div_ceil(stride);
-    let pad_r = (weights.r as isize - 1) / 2;
-    let pad_s = (weights.s as isize - 1) / 2;
-    let mut out = QAccum3::zeros(weights.k, out_h, out_w);
-    for k in 0..weights.k {
-        for y in 0..out_h {
-            for x in 0..out_w {
-                let mut acc = 0i32;
-                for c in 0..input.c {
-                    for r in 0..weights.r {
-                        for s in 0..weights.s {
-                            let iy = (y * stride) as isize + r as isize - pad_r;
-                            let ix = (x * stride) as isize + s as isize - pad_s;
-                            acc += i32::from(input.get_padded(c, iy, ix))
-                                * i32::from(weights.get(k, c, r, s));
-                        }
-                    }
-                }
-                *out.at_mut(k, y, x) = acc;
-            }
-        }
-    }
-    out
+/// One convolution's operands: `input` convolved by `weights` at
+/// `stride`, with "same" padding (`pad = (R−1)/2`).
+pub(crate) struct Operands<'a> {
+    pub(crate) input: &'a QTensor3,
+    pub(crate) weights: &'a QTensor4,
+    pub(crate) stride: usize,
 }
 
-/// Quantized convolution computed in an arbitrary channel-group order —
-/// the tiled executor's accumulation pattern. Because i32 addition is
-/// associative and commutative, this must equal [`qconv2d`] *exactly*.
-///
-/// # Panics
-///
-/// Panics if channel counts disagree or a group is empty.
-#[must_use]
-pub fn qconv2d_grouped(
-    input: &QTensor3,
-    weights: &QTensor4,
-    stride: usize,
-    channel_group_order: &[std::ops::Range<usize>],
-) -> QAccum3 {
-    assert_eq!(input.c, weights.c, "channel mismatch");
-    let out_h = input.h.div_ceil(stride);
-    let out_w = input.w.div_ceil(stride);
-    let pad_r = (weights.r as isize - 1) / 2;
-    let pad_s = (weights.s as isize - 1) / 2;
-    let mut out = QAccum3::zeros(weights.k, out_h, out_w);
-    for group in channel_group_order {
-        for k in 0..weights.k {
-            for y in 0..out_h {
-                for x in 0..out_w {
+impl Operands<'_> {
+    /// The zero output plane (`k × ⌈h/stride⌉ × ⌈w/stride⌉`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if channel counts disagree or `stride` is zero.
+    pub(crate) fn output_plane(&self) -> QAccum3 {
+        let (input, weights, stride) = (self.input, self.weights, self.stride);
+        assert_eq!(input.c, weights.c, "channel mismatch");
+        assert!(stride > 0, "stride must be positive");
+        QAccum3::zeros(
+            weights.k,
+            input.h.div_ceil(stride),
+            input.w.div_ceil(stride),
+        )
+    }
+
+    /// The one accumulate kernel behind [`qconv2d`], [`qconv2d_grouped`]
+    /// and [`crate::executor::execute_qconv`]: adds into `out` the
+    /// partial convolution over output channels `ks`, output pixels
+    /// `ys × xs` and input channels `cs`, in k → y → x → c·r·s order.
+    pub(crate) fn accumulate(
+        &self,
+        out: &mut QAccum3,
+        ks: Range<usize>,
+        (ys, xs): (Range<usize>, Range<usize>),
+        cs: Range<usize>,
+    ) {
+        let (input, weights, stride) = (self.input, self.weights, self.stride);
+        let pad_r = (weights.r as isize - 1) / 2;
+        let pad_s = (weights.s as isize - 1) / 2;
+        for k in ks {
+            for y in ys.clone() {
+                for x in xs.clone() {
                     let mut acc = 0i32;
-                    for c in group.clone() {
+                    for c in cs.clone() {
                         for r in 0..weights.r {
                             for s in 0..weights.s {
                                 let iy = (y * stride) as isize + r as isize - pad_r;
@@ -288,6 +257,45 @@ pub fn qconv2d_grouped(
             }
         }
     }
+}
+
+/// Direct quantized convolution with exact i32 accumulation
+/// ("same" padding, arbitrary stride): [`qconv2d_grouped`] with one
+/// group spanning every input channel.
+///
+/// # Panics
+///
+/// Panics if channel counts disagree or `stride` is zero.
+#[must_use]
+pub fn qconv2d(input: &QTensor3, weights: &QTensor4, stride: usize) -> QAccum3 {
+    qconv2d_grouped(input, weights, stride, std::slice::from_ref(&(0..input.c)))
+}
+
+/// Quantized convolution accumulated one channel group at a time, in
+/// the given order — a tiled dataflow's accumulation pattern. Because
+/// i32 addition is associative and commutative, this equals [`qconv2d`]
+/// *exactly* whenever the groups partition `0..c`.
+///
+/// # Panics
+///
+/// Panics if channel counts disagree or `stride` is zero.
+#[must_use]
+pub fn qconv2d_grouped(
+    input: &QTensor3,
+    weights: &QTensor4,
+    stride: usize,
+    channel_group_order: &[Range<usize>],
+) -> QAccum3 {
+    let conv = Operands {
+        input,
+        weights,
+        stride,
+    };
+    let mut out = conv.output_plane();
+    let plane = (0..out.h, 0..out.w);
+    for group in channel_group_order {
+        conv.accumulate(&mut out, 0..weights.k, plane.clone(), group.clone());
+    }
     out
 }
 
@@ -301,7 +309,7 @@ mod tests {
         let weights = QTensor4::seeded(4, 6, 3, 3, 2);
         let direct = qconv2d(&input, &weights, 1);
         // Several group decompositions, including out-of-order ones.
-        let orders: Vec<Vec<std::ops::Range<usize>>> = vec![
+        let orders: Vec<Vec<Range<usize>>> = vec![
             vec![0..6],
             vec![0..2, 2..4, 4..6],
             vec![4..6, 0..2, 2..4],
@@ -319,25 +327,6 @@ mod tests {
         let weights = QTensor4::seeded(3, 2, 3, 3, 4);
         let out = qconv2d(&input, &weights, 2);
         assert_eq!((out.k, out.h, out.w), (3, 4, 4));
-    }
-
-    #[test]
-    fn requantize_saturates() {
-        let mut acc = QAccum3::zeros(1, 1, 2);
-        *acc.at_mut(0, 0, 0) = 1_000_000;
-        *acc.at_mut(0, 0, 1) = -1_000_000;
-        let q = acc.requantize(1.0, 1.0, 1.0);
-        assert_eq!(q.get(0, 0, 0), 127);
-        assert_eq!(q.get(0, 0, 1), -128);
-    }
-
-    #[test]
-    fn requantize_scales_correctly() {
-        let mut acc = QAccum3::zeros(1, 1, 1);
-        *acc.at_mut(0, 0, 0) = 100;
-        // in 0.5, w 0.5, out 5 → 100·0.25/5 = 5.
-        let q = acc.requantize(0.5, 0.5, 5.0);
-        assert_eq!(q.get(0, 0, 0), 5);
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! A functional output-stationary systolic array: an explicit `rows ×
-//! cols` PE grid computing GEMM tiles the way the paper's 32×32 array
-//! does, stepped cycle by cycle with skewed operand injection. This is
-//! the compute heart the timing model in `seculator-sim` abstracts; here
-//! it is validated bit-for-bit against the direct matmul reference.
+//! cols` PE grid computing int8 GEMM tiles the way the paper's 32×32
+//! array does, stepped cycle by cycle with skewed operand injection. This
+//! is the compute heart the timing model in `seculator-sim` abstracts;
+//! here it runs a pointwise (1×1) convolution and is checked bit for bit
+//! against [`qconv2d`].
+//!
+//! [`qconv2d`]: crate::quant::qconv2d
 
-use crate::reference::matmul;
-use crate::tensor::Matrix;
+use std::ops::Range;
 
-/// One processing element: a multiply-accumulate register plus operand
-/// latches that forward to the right/down neighbours.
+use crate::quant::{QAccum3, QTensor3, QTensor4};
+
+/// One processing element: an i32 multiply-accumulate register plus i8
+/// operand latches that forward to the right/down neighbours.
 #[derive(Debug, Clone, Copy, Default)]
 struct Pe {
-    acc: f32,
-    a_latch: f32,
-    b_latch: f32,
+    acc: i32,
+    a_latch: i8,
+    b_latch: i8,
 }
 
 /// A functional output-stationary systolic array.
@@ -47,182 +51,139 @@ impl SystolicGrid {
         }
     }
 
-    /// Total cycles stepped since construction or the last reset.
+    /// Total cycles stepped since construction.
     #[must_use]
     pub fn cycles_run(&self) -> u64 {
         self.cycles_run
     }
 
-    /// Clears accumulators and latches for the next tile.
-    pub fn reset(&mut self) {
-        for pe in &mut self.pes {
-            *pe = Pe::default();
-        }
-    }
-
-    /// Computes one `rows × cols` output patch of `A(rows×k) · B(k×cols)`
-    /// by explicit cycle-stepping, returning the accumulator grid.
+    /// The pointwise convolution of `input` (`k × 1 × n`) by `weights`
+    /// (`m × k × 1 × 1`) as the GEMM `A(m×k) · B(k×n)`: the `m × 1 × n`
+    /// output is tiled into array-sized patches, each run on the grid.
     ///
     /// # Panics
     ///
-    /// Panics if operand shapes do not match the array.
+    /// Panics if the filters are not 1×1, the input has more than one
+    /// row, or the channel counts disagree.
     #[must_use]
-    pub fn run_patch(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        assert!(a.rows <= self.rows, "A has too many rows for the array");
-        assert!(b.cols <= self.cols, "B has too many cols for the array");
-        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-        self.reset();
-        let k = a.cols;
-        let cols = self.cols;
-        let idx = move |r: usize, c: usize| r * cols + c;
-        let total_cycles = k + self.rows + self.cols - 2;
-        for t in 0..total_cycles {
+    pub fn gemm(&mut self, weights: &QTensor4, input: &QTensor3) -> QAccum3 {
+        assert!(
+            weights.r == 1 && weights.s == 1,
+            "the grid runs 1×1 filters"
+        );
+        assert_eq!(input.h, 1, "the grid streams a k×1×n input");
+        assert_eq!(weights.c, input.c, "inner dimensions must agree");
+        let (m, n) = (weights.k, input.w);
+        let mut out = QAccum3::zeros(m, 1, n);
+        for r0 in (0..m).step_by(self.rows) {
+            for c0 in (0..n).step_by(self.cols) {
+                let patch = (r0..(r0 + self.rows).min(m), c0..(c0 + self.cols).min(n));
+                self.run_patch(weights, input, patch, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Computes the output patch `rows × cols` by explicit cycle-stepping
+    /// from cleared PEs, writing the accumulators into `out`.
+    fn run_patch(
+        &mut self,
+        weights: &QTensor4,
+        input: &QTensor3,
+        (rows, cols): (Range<usize>, Range<usize>),
+        out: &mut QAccum3,
+    ) {
+        self.pes.fill(Pe::default());
+        let k = input.c;
+        let width = self.cols;
+        let idx = move |r: usize, c: usize| r * width + c;
+        // The operand entering at cycle `t`, skewed by `lane` cycles.
+        let skewed = |t: usize, lane: usize| t.checked_sub(lane).filter(|&step| step < k);
+        for t in 0..k + self.rows + self.cols - 2 {
             // Propagate operands one hop per cycle, farthest PEs first so
             // each latch moves exactly one step.
             for r in (0..self.rows).rev() {
                 for c in (0..self.cols).rev() {
                     let a_in = if c == 0 {
-                        // West edge: row r of A, skewed by r cycles.
-                        let step = t as isize - r as isize;
-                        if r < a.rows && step >= 0 && (step as usize) < k {
-                            a.get(r, step as usize)
-                        } else {
-                            0.0
+                        // West edge: filter row `rows.start + r`, skewed by r cycles.
+                        match skewed(t, r) {
+                            Some(step) if r < rows.len() => weights.get(rows.start + r, step, 0, 0),
+                            _ => 0,
                         }
                     } else {
                         self.pes[idx(r, c - 1)].a_latch
                     };
                     let b_in = if r == 0 {
-                        // North edge: column c of B, skewed by c cycles.
-                        let step = t as isize - c as isize;
-                        if c < b.cols && step >= 0 && (step as usize) < k {
-                            b.get(step as usize, c)
-                        } else {
-                            0.0
+                        // North edge: input column `cols.start + c`, skewed by c cycles.
+                        match skewed(t, c) {
+                            Some(step) if c < cols.len() => input.get(step, 0, cols.start + c),
+                            _ => 0,
                         }
                     } else {
                         self.pes[idx(r - 1, c)].b_latch
                     };
                     let pe = &mut self.pes[idx(r, c)];
-                    pe.acc += a_in * b_in;
+                    pe.acc += i32::from(a_in) * i32::from(b_in);
                     pe.a_latch = a_in;
                     pe.b_latch = b_in;
                 }
             }
             self.cycles_run += 1;
         }
-        let mut out = Matrix::zeros(a.rows, b.cols);
-        for r in 0..a.rows {
-            for c in 0..b.cols {
-                *out.at_mut(r, c) = self.pes[idx(r, c)].acc;
+        for (r, m) in rows.enumerate() {
+            for (c, x) in cols.clone().enumerate() {
+                *out.at_mut(m, 0, x) = self.pes[idx(r, c)].acc;
             }
         }
-        out
     }
-
-    /// Full GEMM `P(m×k) × Q(k×n)` by tiling the output into array-sized
-    /// patches and running each on the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    #[must_use]
-    pub fn gemm(&mut self, p: &Matrix, q: &Matrix) -> Matrix {
-        assert_eq!(p.cols, q.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(p.rows, q.cols);
-        let mut r0 = 0;
-        while r0 < p.rows {
-            let rn = (p.rows - r0).min(self.rows);
-            let mut c0 = 0;
-            while c0 < q.cols {
-                let cn = (q.cols - c0).min(self.cols);
-                // Slice the operands for this patch.
-                let mut a = Matrix::zeros(rn, p.cols);
-                for r in 0..rn {
-                    for k in 0..p.cols {
-                        *a.at_mut(r, k) = p.get(r0 + r, k);
-                    }
-                }
-                let mut b = Matrix::zeros(q.rows, cn);
-                for k in 0..q.rows {
-                    for c in 0..cn {
-                        *b.at_mut(k, c) = q.get(k, c0 + c);
-                    }
-                }
-                let patch = self.run_patch(&a, &b);
-                for r in 0..rn {
-                    for c in 0..cn {
-                        *out.at_mut(r0 + r, c0 + c) = patch.get(r, c);
-                    }
-                }
-                c0 += cn;
-            }
-            r0 += rn;
-        }
-        out
-    }
-}
-
-/// Convenience: validate the grid against the direct reference for the
-/// given shapes, returning the max absolute error.
-#[must_use]
-pub fn validate_against_reference(m: usize, k: usize, n: usize, seed: u64) -> f32 {
-    let p = Matrix::seeded(m, k, seed);
-    let q = Matrix::seeded(k, n, seed ^ 0xFFFF);
-    let mut grid = SystolicGrid::new(8, 8);
-    grid.gemm(&p, &q).max_abs_diff(&matmul(&p, &q))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::qconv2d;
 
-    #[test]
-    fn single_patch_matches_reference() {
-        let p = Matrix::seeded(4, 6, 1);
-        let q = Matrix::seeded(6, 4, 2);
-        let mut grid = SystolicGrid::new(4, 4);
-        let out = grid.run_patch(&p, &q);
-        assert!(out.max_abs_diff(&matmul(&p, &q)) < 1e-4);
+    fn operands(m: usize, k: usize, n: usize, seed: u64) -> (QTensor4, QTensor3) {
+        (
+            QTensor4::seeded(m, k, 1, 1, seed),
+            QTensor3::seeded(k, 1, n, seed ^ 0xFFFF),
+        )
     }
 
     #[test]
-    fn undersized_operands_use_array_corner() {
-        let p = Matrix::seeded(2, 3, 3);
-        let q = Matrix::seeded(3, 2, 4);
-        let mut grid = SystolicGrid::new(8, 8);
-        let out = grid.run_patch(&p, &q);
-        assert!(out.max_abs_diff(&matmul(&p, &q)) < 1e-4);
-    }
-
-    #[test]
-    fn tiled_gemm_matches_reference_for_awkward_shapes() {
-        for (m, k, n) in [(1, 1, 1), (8, 8, 8), (9, 7, 10), (17, 5, 3), (3, 20, 17)] {
-            let err = validate_against_reference(m, k, n, (m * 100 + k * 10 + n) as u64);
-            assert!(err < 1e-3, "({m},{k},{n}) err={err}");
+    fn tiled_gemm_equals_the_pointwise_convolution_for_awkward_shapes() {
+        for (m, k, n) in [
+            (1, 1, 1),
+            (4, 6, 4),
+            (8, 8, 8),
+            (9, 7, 10),
+            (17, 5, 3),
+            (3, 20, 17),
+        ] {
+            let (weights, input) = operands(m, k, n, (m * 100 + k * 10 + n) as u64);
+            let mut grid = SystolicGrid::new(8, 8);
+            assert_eq!(
+                grid.gemm(&weights, &input),
+                qconv2d(&input, &weights, 1),
+                "({m},{k},{n})"
+            );
         }
     }
 
     #[test]
     fn patch_cycle_count_matches_analytical_model() {
         // k + rows + cols - 2 cycles per patch.
-        let p = Matrix::seeded(4, 10, 1);
-        let q = Matrix::seeded(10, 4, 2);
+        let (weights, input) = operands(4, 10, 4, 1);
         let mut grid = SystolicGrid::new(4, 4);
-        let _ = grid.run_patch(&p, &q);
+        let _ = grid.gemm(&weights, &input);
         assert_eq!(grid.cycles_run(), 10 + 4 + 4 - 2);
     }
 
     #[test]
-    fn reset_clears_state_between_patches() {
-        let p = Matrix::seeded(4, 5, 9);
-        let q = Matrix::seeded(5, 4, 10);
+    fn accumulators_reset_between_patches() {
+        let (weights, input) = operands(4, 5, 4, 9);
         let mut grid = SystolicGrid::new(4, 4);
-        let first = grid.run_patch(&p, &q);
-        let second = grid.run_patch(&p, &q);
-        assert!(
-            first.max_abs_diff(&second) < 1e-6,
-            "accumulators must reset"
-        );
+        let first = grid.gemm(&weights, &input);
+        assert_eq!(grid.gemm(&weights, &input), first);
     }
 }

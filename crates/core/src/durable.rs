@@ -46,7 +46,7 @@ use crate::secure_infer::{
     open_journaled_cursor, open_resume_cursor, step_journaled_layer, AbortReport, Instruments,
     JournaledCursor, JournaledError, JournaledRun, QConvLayer, SecureSession,
 };
-use crate::secure_memory::{Block, BlockCoords, DatapathCache, UntrustedDram};
+use crate::secure_memory::{Block, BlockCoords, UntrustedDram};
 use crate::telemetry;
 use seculator_compute::quant::QTensor3;
 use seculator_crypto::keys::DeviceSecret;
@@ -116,12 +116,6 @@ pub trait Vfs: std::fmt::Debug {
     /// Any I/O failure, including an injected torn rename (source
     /// consumed, destination left at its old contents).
     fn rename(&mut self, from: &str, to: &str) -> io::Result<()>;
-    /// Removes a file.
-    ///
-    /// # Errors
-    ///
-    /// `NotFound` when the file does not exist.
-    fn remove(&mut self, path: &str) -> io::Result<()>;
     /// Whether a file exists.
     fn exists(&mut self, path: &str) -> bool;
 }
@@ -182,10 +176,6 @@ impl Vfs for StdVfs {
             let _ = dir.sync_all();
         }
         Ok(())
-    }
-
-    fn remove(&mut self, path: &str) -> io::Result<()> {
-        std::fs::remove_file(self.p(path))
     }
 
     fn exists(&mut self, path: &str) -> bool {
@@ -432,15 +422,6 @@ impl Vfs for FaultVfs {
         self.stable.insert(to.to_owned(), file.clone());
         self.cache.insert(to.to_owned(), file);
         Ok(())
-    }
-
-    fn remove(&mut self, path: &str) -> io::Result<()> {
-        self.op += 1;
-        self.stable.remove(path);
-        self.cache
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no file {path}")))
     }
 
     fn exists(&mut self, path: &str) -> bool {
@@ -1097,13 +1078,12 @@ impl DurableHome {
         session: &SecureSession,
         durable: &mut DurableState,
         instruments: &mut Instruments<'_>,
-        cache: &mut DatapathCache,
         stats: &mut PersistentStats,
     ) -> Result<JournaledCursor, DurableError> {
         let cursor = if durable.journal.is_empty() {
-            open_journaled_cursor(input, session, durable, &mut instruments.clock, cache)?
+            open_journaled_cursor(input, session, durable, &mut instruments.clock)?
         } else {
-            open_resume_cursor(input, session, durable, instruments, None, cache)?
+            open_resume_cursor(input, session, durable, instruments, None)?
         };
         self.sync_journal(
             vfs,
@@ -1267,17 +1247,7 @@ pub fn run_persistent(
         injector: None,
         clock,
     };
-    // A per-run schedule cache: a restart-resume's rollback walk shares
-    // one key expansion per epoch instead of one per verified commit.
-    let mut cursor = home.open_cursor(
-        vfs,
-        input,
-        session,
-        &mut durable,
-        &mut ins,
-        &mut DatapathCache::new(),
-        stats,
-    )?;
+    let mut cursor = home.open_cursor(vfs, input, session, &mut durable, &mut ins, stats)?;
     while !cursor.done(layers) {
         step_journaled_layer(layers, session, &mut cursor, &mut durable, &mut ins)?;
         home.checkpoint(

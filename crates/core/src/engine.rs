@@ -449,7 +449,6 @@ impl SchemeTiming for GuardNnTiming {
 pub struct SeculatorTiming {
     kind: SchemeKind,
     crypto_fill: u64,
-    journal_commit: u64,
 }
 
 impl SeculatorTiming {
@@ -465,22 +464,6 @@ impl SeculatorTiming {
         Self {
             kind,
             crypto_fill: cfg.aes_block_cycles,
-            journal_commit: 0,
-        }
-    }
-
-    /// Creates the engine with crash-consistent journaling enabled: each
-    /// layer boundary additionally appends one sealed commit record
-    /// (~4 DRAM bursts + one SHA-256 pass) to the layer-commit journal
-    /// ([`crate::journal`]). `journal_commit_cycles` is the serial cost
-    /// of that append; it cannot overlap the next layer because the
-    /// write-ahead ordering requires the record durable before the
-    /// epoch's pads are consumed further.
-    #[must_use]
-    pub fn with_journal(cfg: &NpuConfig, kind: SchemeKind, journal_commit_cycles: u64) -> Self {
-        Self {
-            journal_commit: journal_commit_cycles,
-            ..Self::new(cfg, kind)
         }
     }
 }
@@ -504,9 +487,8 @@ impl SchemeTiming for SeculatorTiming {
     }
 
     fn layer_end(&mut self, _dram: &mut Dram) -> u64 {
-        // MAC_W vs MAC_FR ⊕ MAC_R register compare, plus the journal
-        // commit append when crash consistency is enabled.
-        4 + self.journal_commit
+        // MAC_W vs MAC_FR ⊕ MAC_R register compare.
+        4
     }
 }
 
@@ -596,21 +578,6 @@ mod tests {
         assert_eq!(c.exposed_cycles, 0);
         assert!(c.memory_cycles > 0, "crypto pipeline fill still costs");
         assert!(e.layer_end(&mut d) > 0);
-    }
-
-    #[test]
-    fn journaling_adds_only_a_layer_boundary_commit() {
-        let cfg = NpuConfig::paper();
-        let mut plain = SeculatorTiming::new(&cfg, SchemeKind::Seculator);
-        let mut journaled = SeculatorTiming::with_journal(&cfg, SchemeKind::Seculator, 64);
-        let mut d = dram();
-        // Per-tile cost is identical: journaling is boundary-only.
-        let a = plain.on_tile(&access(AccessOp::Write), 0, 32, &mut d);
-        let b = journaled.on_tile(&access(AccessOp::Write), 0, 32, &mut d);
-        assert_eq!(a, b);
-        // The boundary pays the commit append on top of the compare.
-        assert_eq!(journaled.layer_end(&mut d), plain.layer_end(&mut d) + 64);
-        assert_eq!(d.stats().total_bytes(), 0, "no metadata traffic either way");
     }
 
     #[test]

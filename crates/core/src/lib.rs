@@ -67,7 +67,7 @@ pub use secure_infer::{
     infer_journaled, infer_plain, infer_resume, AbortReport, Instruments, JournaledError,
     JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
 };
-pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram};
+pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathMode, UntrustedDram};
 pub use session::{
     tenant_identity, AdmitSpec, PadLedger, QuarantineReport, ServeReport, SessionManager,
     SessionOutcome, SessionVerdict,

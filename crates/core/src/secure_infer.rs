@@ -22,7 +22,7 @@ use crate::error::SecurityError;
 use crate::fault::{AccessCtx, CrashClock, CrashPhase, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker};
 use crate::mac_verify::EagerLayerVerifier;
-use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, DatapathCache, UntrustedDram};
+use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, UntrustedDram};
 use crate::telemetry::{self, LayerRow};
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
@@ -371,9 +371,8 @@ pub(crate) struct JournaledCursor {
 impl JournaledCursor {
     /// Builds a cursor positioned at `start_layer` with the given
     /// durable-state coordinates (epoch already declared durable, journal
-    /// `seq` pointing past the epoch-open record). The datapath comes
-    /// out of `cache`, so re-opening a cursor never re-expands key
-    /// schedules the session already derived.
+    /// `seq` pointing past the epoch-open record), encrypting under the
+    /// datapath of `epoch`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         session: &SecureSession,
@@ -383,10 +382,9 @@ impl JournaledCursor {
         base_addr: u64,
         activ: QTensor3,
         incidents: IncidentLog,
-        cache: &mut DatapathCache,
     ) -> Self {
         Self {
-            datapath: cache.epoch_datapath(session.secret, session.nonce, epoch),
+            datapath: CryptoDatapath::with_epoch(session.secret, session.nonce, epoch),
             epoch,
             seq,
             next_layer: start_layer,
@@ -455,7 +453,6 @@ pub(crate) fn open_journaled_cursor(
     session: &SecureSession,
     durable: &mut DurableState,
     clock: &mut Option<&mut CrashClock>,
-    cache: &mut DatapathCache,
 ) -> Result<JournaledCursor, JournaledError> {
     let replayed = durable
         .journal
@@ -483,7 +480,6 @@ pub(crate) fn open_journaled_cursor(
         0x1_0000,
         input.clone(),
         IncidentLog::new(),
-        cache,
     ))
 }
 
@@ -845,9 +841,7 @@ pub fn infer_journaled(
     durable: &mut DurableState,
     instruments: &mut Instruments<'_>,
 ) -> Result<JournaledRun, JournaledError> {
-    let mut cache = DatapathCache::new();
-    let mut cursor =
-        open_journaled_cursor(input, session, durable, &mut instruments.clock, &mut cache)?;
+    let mut cursor = open_journaled_cursor(input, session, durable, &mut instruments.clock)?;
     while !cursor.done(layers) {
         step_journaled_layer(layers, session, &mut cursor, durable, instruments)?;
     }
@@ -865,12 +859,8 @@ fn verify_commit(
     session: &SecureSession,
     durable: &DurableState,
     instruments: &mut Instruments<'_>,
-    cache: &mut DatapathCache,
 ) -> Result<Option<QTensor3>, JournaledError> {
-    // The rollback walk re-verifies one commit per record, and every
-    // record of an attempt shares its epoch — the cache collapses those
-    // datapath constructions to one key expansion per epoch.
-    let datapath = cache.epoch_datapath(session.secret, session.nonce, rec.epoch);
+    let datapath = CryptoDatapath::with_epoch(session.secret, session.nonce, rec.epoch);
     let mut lv = EagerLayerVerifier::restore(rec.mac_w, rec.mac_r, [0u8; 32]);
     let blocks = rec.blocks as usize;
     let coords = tile_coords(rec.layer_id, rec.layer_id, rec.final_vn, blocks);
@@ -940,15 +930,7 @@ pub fn infer_resume(
     instruments: &mut Instruments<'_>,
     interrupted: Option<PowerLoss>,
 ) -> Result<JournaledRun, JournaledError> {
-    let mut cache = DatapathCache::new();
-    let mut cursor = open_resume_cursor(
-        input,
-        session,
-        durable,
-        instruments,
-        interrupted,
-        &mut cache,
-    )?;
+    let mut cursor = open_resume_cursor(input, session, durable, instruments, interrupted)?;
     while !cursor.done(layers) {
         step_journaled_layer(layers, session, &mut cursor, durable, instruments)?;
     }
@@ -968,7 +950,6 @@ pub(crate) fn open_resume_cursor(
     durable: &mut DurableState,
     instruments: &mut Instruments<'_>,
     interrupted: Option<PowerLoss>,
-    cache: &mut DatapathCache,
 ) -> Result<JournaledCursor, JournaledError> {
     let replayed = durable
         .journal
@@ -998,7 +979,7 @@ pub(crate) fn open_resume_cursor(
     let mut base_addr = 0x1_0000u64;
     let mut activ = input.clone();
     for rec in commits.iter().rev() {
-        match verify_commit(rec, session, durable, instruments, cache)? {
+        match verify_commit(rec, session, durable, instruments)? {
             Some(recovered) => {
                 activ = recovered;
                 start_layer = rec.layer_id + 1;
@@ -1038,7 +1019,6 @@ pub(crate) fn open_resume_cursor(
         base_addr,
         activ,
         incidents,
-        cache,
     ))
 }
 

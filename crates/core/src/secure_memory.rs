@@ -508,82 +508,6 @@ impl CryptoDatapath {
     }
 }
 
-/// Key-schedule cache for repeated datapath construction.
-///
-/// Every [`CryptoDatapath::with_epoch`] call pays three derivations: the
-/// epoch session key (two SHA-256 compressions), the AES round-key
-/// expansion, and the MAC engine's key-prefix schedule. A tenant session
-/// rebuilds its datapath on every cursor open — promotion, every
-/// crash-resume, every scheduler retry — so the scheduler would
-/// otherwise re-expand schedules that cannot have changed:
-///
-/// - The **MAC engine** depends only on the device secret, never on the
-///   nonce or epoch, so one expansion serves every epoch of a tenant
-///   (and this is exactly why a resumed run can verify pre-crash MACs).
-/// - A **repeated epoch** (re-opening a cursor over the same durable
-///   state) reuses the whole datapath; clones share the lazily-expanded
-///   bitsliced AES key schedule through [`seculator_crypto::Aes128`].
-///
-/// Cached and fresh datapaths are bit-identical by construction — the
-/// cache stores *results* of the same pure derivations — and by test.
-/// Entries are keyed by the full `(secret, nonce, epoch)` identity, so a
-/// cache can be shared across tenants without aliasing their keys.
-#[derive(Debug, Default)]
-pub struct DatapathCache {
-    mac_engines: HashMap<DeviceSecret, BlockMacEngine>,
-    datapaths: HashMap<(DeviceSecret, u64, u32), CryptoDatapath>,
-}
-
-impl DatapathCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the datapath for `(secret, nonce, epoch)` in the default
-    /// mode and backend (the combination every journaled cursor runs),
-    /// deriving and caching it on first use. Equivalent to
-    /// [`CryptoDatapath::with_epoch`], minus the repeated key expansion.
-    pub fn epoch_datapath(
-        &mut self,
-        secret: DeviceSecret,
-        nonce: u64,
-        epoch: u32,
-    ) -> CryptoDatapath {
-        if let Some(dp) = self.datapaths.get(&(secret, nonce, epoch)) {
-            return dp.clone();
-        }
-        let mac_engine = self
-            .mac_engines
-            .entry(secret)
-            .or_insert_with(|| BlockMacEngine::new(&secret.0))
-            .clone();
-        let key = SessionKey::derive_epoch(&secret, nonce, epoch);
-        let dp = CryptoDatapath {
-            secret,
-            cipher: AesCtr::with_backend(&key.0, mac_engine.backend()),
-            mac_engine,
-            mode: DatapathMode::default(),
-        };
-        self.datapaths.insert((secret, nonce, epoch), dp.clone());
-        dp
-    }
-
-    /// Number of fully-constructed datapaths held (one per epoch seen).
-    #[must_use]
-    pub fn cached_epochs(&self) -> usize {
-        self.datapaths.len()
-    }
-
-    /// Number of per-secret MAC engines held (one per tenant secret —
-    /// epochs *share* the engine, which is the point of the cache).
-    #[must_use]
-    pub fn cached_mac_engines(&self) -> usize {
-        self.mac_engines.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,35 +705,6 @@ mod tests {
         assert_eq!(serial_reg, fwd);
         assert_eq!(serial_reg, rev);
         assert_eq!(serial_reg, reduced);
-    }
-
-    #[test]
-    fn cached_datapaths_are_bit_identical_to_fresh_construction() {
-        let secret = DeviceSecret::from_seed(11);
-        let mut cache = DatapathCache::new();
-        let (coords, blocks) = tile(17);
-        for epoch in [0u32, 1, 2, 1] {
-            let cached = cache.epoch_datapath(secret, 77, epoch);
-            let fresh = CryptoDatapath::with_epoch(secret, 77, epoch);
-            assert_eq!(
-                cached.seal_blocks(&coords, &blocks),
-                fresh.seal_blocks(&coords, &blocks),
-                "epoch {epoch}: cached schedule must seal identically"
-            );
-        }
-        // Three distinct epochs → three datapaths, but exactly one MAC
-        // engine: the MAC schedule is epoch-independent and shared.
-        assert_eq!(cache.cached_epochs(), 3);
-        assert_eq!(cache.cached_mac_engines(), 1);
-        // A second tenant secret gets its own engine — no aliasing.
-        let other = DeviceSecret::from_seed(12);
-        let a = cache.epoch_datapath(other, 77, 0);
-        let b = CryptoDatapath::with_epoch(other, 77, 0);
-        assert_eq!(
-            a.seal_blocks(&coords, &blocks),
-            b.seal_blocks(&coords, &blocks)
-        );
-        assert_eq!(cache.cached_mac_engines(), 2);
     }
 
     #[test]

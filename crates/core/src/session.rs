@@ -67,7 +67,7 @@ use crate::secure_infer::{
     open_journaled_cursor, open_resume_cursor, step_journaled_layer, Instruments, JournaledCursor,
     JournaledError, JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
 };
-use crate::secure_memory::{BlockCoords, DatapathCache};
+use crate::secure_memory::BlockCoords;
 use crate::telemetry::{self, Counter, LayerRow};
 use seculator_compute::quant::QTensor3;
 use seculator_crypto::keys::DeviceSecret;
@@ -190,11 +190,6 @@ struct Tenant {
     retries: u32,
     /// Per-tenant splitmix stream for backoff jitter.
     backoff_rng: u64,
-    /// Expanded key schedules, kept across promotions and retries so a
-    /// re-admitted attempt never re-expands what this tenant's derived
-    /// key already paid for (the MAC schedule is epoch-independent; a
-    /// repeated epoch reuses its whole datapath).
-    schedules: DatapathCache,
     /// Audit records salvaged from failed attempts, merged ahead of the
     /// terminal attempt's records at report time. Every record already
     /// went through the `IncidentLog::push` telemetry funnel once.
@@ -606,7 +601,6 @@ impl SessionManager {
             clock: None,
             retries: 0,
             backoff_rng: Self::backoff_stream(self.backoff_seed, spec.tenant),
-            schedules: DatapathCache::new(),
             incidents: IncidentLog::new(),
             last_progress_round: 0,
             deadline_missed: false,
@@ -775,14 +769,7 @@ impl SessionManager {
                 injector: t.injector.as_mut(),
                 clock: t.clock.as_mut(),
             };
-            open_resume_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut instruments,
-                loss,
-                &mut t.schedules,
-            )
+            open_resume_cursor(&t.input, &t.session, &mut t.durable, &mut instruments, loss)
         };
         match result {
             Ok(cursor) => t.state = TenantState::Running(Box::new(cursor)),
@@ -821,13 +808,7 @@ impl SessionManager {
             Self::open_home_cursor(t)
         } else {
             let mut clock = t.clock.as_mut();
-            open_journaled_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut clock,
-                &mut t.schedules,
-            )
+            open_journaled_cursor(&t.input, &t.session, &mut t.durable, &mut clock)
         };
         match result {
             Ok(cursor) => t.state = TenantState::Running(Box::new(cursor)),
@@ -870,7 +851,6 @@ impl SessionManager {
                 injector: t.injector.as_mut(),
                 clock: t.clock.as_mut(),
             },
-            &mut t.schedules,
             &mut h.stats,
         )
         .map_err(|e| home_error(id, e))

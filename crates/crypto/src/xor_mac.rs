@@ -185,12 +185,6 @@ impl BlockMacEngine {
         }
     }
 
-    /// The execution backend this engine dispatches to.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Drops the per-block coordinates and content into the two frozen
     /// compression blocks.
     #[inline]

@@ -22,7 +22,7 @@
 //! ## Request lifecycle
 //!
 //! A submit admits the tenant onto the multi-tenant scheduler
-//! ([`SessionManager`]) with a nonce salt derived from the request id
+//! ([`SessionManager`]) with the request id as its nonce salt
 //! (salt 0 for request 0, so a daemon's first request per tenant is
 //! bit-identical to the serve campaign). Terminal sessions are
 //! harvested into a result store keyed by `(tenant, request id)`;
@@ -343,15 +343,11 @@ impl Daemon {
         if input.c != m.input.c || input.h != m.input.h || input.w != m.input.w {
             return reject("input shape does not match the model");
         }
-        // Request 0 uses the classic (salt-0) derivation — bit-identical
-        // to the serve campaign; repeat requests salt a fresh nonce
-        // space so the lifetime pad ledger stays collision-free.
-        let nonce_salt = if request_id == 0 {
-            0
-        } else {
-            let mut s = request_id;
-            splitmix(&mut s)
-        };
+        // The request id is the nonce salt: request 0 keeps the classic
+        // (salt-0) derivation — bit-identical to the serve campaign —
+        // and distinct ids can never share a nonce space, so the
+        // lifetime pad ledger stays collision-free.
+        let nonce_salt = request_id;
         let queued_round = self.mgr.current_round();
         self.mgr.admit(AdmitSpec {
             tenant,

@@ -534,6 +534,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 num_opt(&args, "--c", 16u32),
                 num_opt(&args, "--hw", 32u32),
             );
+            for (name, v) in [("--k", k), ("--c", c), ("--hw", hw)] {
+                if v == 0 {
+                    eprintln!("invalid value for {name}: `0` (a layer dimension must be >= 1)");
+                    usage()
+                }
+            }
             let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(k, c, hw, 3)));
             let tiling = TileConfig {
                 kt: (k / 4).max(1),

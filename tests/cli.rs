@@ -252,6 +252,19 @@ fn campaigns_share_the_exit_code_contract() {
     let (code, stdout, stderr) = run_code(&["patterns", "--k", "banana"]);
     assert_eq!(code, Some(2), "patterns --k banana: {stdout}");
     assert!(stderr.contains("invalid value for --k"), "{stderr}");
+    // So is a zero layer dimension: exit 2 before any header prints.
+    for option in ["--k", "--c", "--hw"] {
+        let (code, stdout, stderr) = run_code(&["patterns", option, "0"]);
+        assert_eq!(code, Some(2), "patterns {option} 0: {stdout}");
+        assert!(
+            stdout.is_empty(),
+            "patterns {option} 0 must not run: {stdout}"
+        );
+        assert!(
+            stderr.contains(&format!("invalid value for {option}")),
+            "{stderr}"
+        );
+    }
     // Unknown commands are usage errors too (exit 2, not 1).
     let (code, _, _) = run_code(&["frobnicate"]);
     assert_eq!(code, Some(2));

@@ -2,10 +2,9 @@
 //! "rigorously validated with ARM SCALE-Sim and native hardware" (§4.1):
 //! the *analytical* systolic timing model used by the simulator must
 //! agree with the *cycle-stepped functional* PE grid, which computes
-//! real GEMMs one cycle at a time.
+//! real int8 GEMMs one cycle at a time.
 
-use seculator::compute::systolic::SystolicGrid;
-use seculator::compute::tensor::Matrix;
+use seculator::compute::{QTensor3, QTensor4, SystolicGrid};
 use seculator::sim::config::NpuConfig;
 use seculator::sim::systolic::SystolicArray;
 
@@ -19,9 +18,9 @@ fn analytical_gemm_cycles_match_the_cycle_stepped_grid() {
     let model = SystolicArray::new(&cfg);
     for (m, k, n) in [(8u64, 16u64, 8u64), (16, 32, 16), (8, 100, 8), (24, 10, 24)] {
         let mut grid = SystolicGrid::new(8, 8);
-        let p = Matrix::seeded(m as usize, k as usize, 1);
-        let q = Matrix::seeded(k as usize, n as usize, 2);
-        let _ = grid.gemm(&p, &q);
+        let weights = QTensor4::seeded(m as usize, k as usize, 1, 1, 1);
+        let input = QTensor3::seeded(k as usize, 1, n as usize, 2);
+        let _ = grid.gemm(&weights, &input);
         let measured = grid.cycles_run();
         // Analytical: row_patches · col_patches · (2·rows + k). The grid
         // charges (k + rows + cols − 2) per patch.
@@ -55,7 +54,10 @@ fn step_cycles_lower_bound_holds_against_real_execution() {
     let (m, k, n) = (16usize, 24usize, 16usize);
     let macs = (m * k * n) as u64;
     let mut grid = SystolicGrid::new(8, 8);
-    let _ = grid.gemm(&Matrix::seeded(m, k, 3), &Matrix::seeded(k, n, 4));
+    let _ = grid.gemm(
+        &QTensor4::seeded(m, k, 1, 1, 3),
+        &QTensor3::seeded(k, 1, n, 4),
+    );
     assert!(
         grid.cycles_run() >= model.step_cycles(macs) - u64::from(cfg.pe_rows + cfg.pe_cols),
         "functional grid ({}) beat the throughput bound ({})",

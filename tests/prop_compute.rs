@@ -1,24 +1,23 @@
 //! Property tests closing the loop between schedules and arithmetic:
-//! for randomized layer shapes, tilings, and every dataflow, executing
-//! the schedule's exact loop order computes the same convolution as the
-//! direct reference — so the traces (and the VN patterns derived from
-//! them) describe a real computation.
+//! for randomized layer shapes, tilings, strides and filter sizes,
+//! replaying every dataflow's schedule trace step by step in int8
+//! computes the direct convolution bit for bit — so the traces (and the
+//! VN patterns derived from them) describe a real computation. The
+//! systolic grid is held to the same exact standard.
 
 use proptest::prelude::*;
 use seculator::arch::dataflow::{ConvDataflow, Dataflow};
 use seculator::arch::layer::{ConvShape, LayerDesc, LayerKind};
 use seculator::arch::tiling::TileConfig;
 use seculator::arch::trace::LayerSchedule;
-use seculator::compute::executor::conv_error_vs_reference;
-use seculator::compute::reference::{conv2d, matmul};
-use seculator::compute::systolic::SystolicGrid;
-use seculator::compute::tensor::{Matrix, Tensor3, Tensor4};
+use seculator::compute::{execute_qconv, qconv2d, QTensor3, QTensor4, SystolicGrid};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized (possibly ragged) tilings × all dataflows compute the
-    /// reference convolution.
+    /// All 12 dataflows of Tables 2–3, under randomized (possibly
+    /// ragged) tilings, stride 1 or 2, and 1×1 or 3×3 filters, replay
+    /// to exactly the direct convolution.
     #[test]
     fn tiled_execution_matches_direct_convolution(
         k in 1u32..=6,
@@ -26,24 +25,29 @@ proptest! {
         hw in 4u32..=10,
         kt in 1u32..=6,
         ct in 1u32..=5,
-        tile in 2u32..=6,
-        df in prop::sample::select(ConvDataflow::ALL.to_vec()),
+        tile in 1u32..=6,
+        stride in 1u32..=2,
+        rs in prop::sample::select(vec![1u32, 3]),
         seed in any::<u64>(),
     ) {
-        let kt = kt.min(k);
-        let ct = ct.min(c);
-        let tile = tile.min(hw);
-        let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(k, c, hw, 3)));
-        let tiling = TileConfig { kt, ct, ht: tile, wt: tile };
-        let schedule = LayerSchedule::new(layer, Dataflow::Conv(df), tiling).expect("resolves");
-        let input = Tensor3::seeded(c as usize, hw as usize, hw as usize, seed);
-        let weights = Tensor4::seeded(k as usize, c as usize, 3, 3, seed ^ 0x5555);
-        let err = conv_error_vs_reference(&schedule, &input, &weights).expect("shapes ok");
-        prop_assert!(err < 1e-2, "{df:?} err={err}");
+        let shape = ConvShape { stride, ..ConvShape::simple(k, c, hw, rs) };
+        let layer = LayerDesc::new(0, LayerKind::Conv(shape));
+        let tile = tile.min(shape.out_h());
+        let tiling = TileConfig { kt: kt.min(k), ct: ct.min(c), ht: tile, wt: tile };
+        let input = QTensor3::seeded(c as usize, hw as usize, hw as usize, seed);
+        let weights = QTensor4::seeded(k as usize, c as usize, rs as usize, rs as usize, seed ^ 0x5555);
+        let direct = qconv2d(&input, &weights, stride as usize);
+        for df in ConvDataflow::ALL {
+            let schedule = LayerSchedule::new(layer, Dataflow::Conv(df), tiling).expect("resolves");
+            let replayed = execute_qconv(&schedule, &input, &weights).expect("shapes match");
+            prop_assert!(replayed == direct, "{df:?} replay diverged from qconv2d");
+        }
     }
 
-    /// The functional systolic grid computes exact GEMMs for arbitrary
-    /// (small) shapes, including ones that don't divide the array.
+    /// The int8 systolic grid computes exact GEMMs — the pointwise
+    /// convolution of a `k×1×n` input by `m×k×1×1` filters — for
+    /// arbitrary (small) shapes, including ones that don't divide the
+    /// array.
     #[test]
     fn systolic_grid_matches_reference_gemm(
         m in 1usize..=20,
@@ -53,15 +57,15 @@ proptest! {
         cols in 2usize..=8,
         seed in any::<u64>(),
     ) {
-        let p = Matrix::seeded(m, k, seed);
-        let q = Matrix::seeded(k, n, seed ^ 0xAAAA);
+        let weights = QTensor4::seeded(m, k, 1, 1, seed);
+        let input = QTensor3::seeded(k, 1, n, seed ^ 0xAAAA);
         let mut grid = SystolicGrid::new(rows, cols);
-        let out = grid.gemm(&p, &q);
-        prop_assert!(out.max_abs_diff(&matmul(&p, &q)) < 1e-2);
+        prop_assert!(grid.gemm(&weights, &input) == qconv2d(&input, &weights, 1));
     }
 
-    /// 1×1 convolution with stride 1 is exactly a per-pixel channel mix —
-    /// cross-check the conv reference against a GEMM formulation.
+    /// 1×1 convolution with stride 1 is exactly a per-pixel channel mix:
+    /// over a `c×hw×hw` map it equals the grid's GEMM over the same
+    /// pixels laid out as one `c×1×(hw·hw)` row.
     #[test]
     fn pointwise_conv_equals_gemm(
         k in 1usize..=4,
@@ -69,30 +73,22 @@ proptest! {
         hw in 2usize..=6,
         seed in any::<u64>(),
     ) {
-        let input = Tensor3::seeded(c, hw, hw, seed);
-        let weights = Tensor4::seeded(k, c, 1, 1, seed ^ 0x1234);
-        let conv = conv2d(&input, &weights, 1);
-        // GEMM: W (k×c) · X (c×(hw·hw)).
-        let mut wmat = Matrix::zeros(k, c);
-        for kk in 0..k {
-            for cc in 0..c {
-                *wmat.at_mut(kk, cc) = weights.get(kk, cc, 0, 0);
-            }
-        }
-        let mut xmat = Matrix::zeros(c, hw * hw);
+        let input = QTensor3::seeded(c, hw, hw, seed);
+        let weights = QTensor4::seeded(k, c, 1, 1, seed ^ 0x1234);
+        let conv = qconv2d(&input, &weights, 1);
+        let mut row = QTensor3::zeros(c, 1, hw * hw, input.scale);
         for cc in 0..c {
             for y in 0..hw {
                 for x in 0..hw {
-                    *xmat.at_mut(cc, y * hw + x) = input.get(cc, y, x);
+                    *row.at_mut(cc, 0, y * hw + x) = input.get(cc, y, x);
                 }
             }
         }
-        let gemm = matmul(&wmat, &xmat);
+        let gemm = SystolicGrid::new(4, 4).gemm(&weights, &row);
         for kk in 0..k {
             for y in 0..hw {
                 for x in 0..hw {
-                    let diff = (conv.get(kk, y, x) - gemm.get(kk, y * hw + x)).abs();
-                    prop_assert!(diff < 1e-3);
+                    prop_assert!(conv.get(kk, y, x) == gemm.get(kk, 0, y * hw + x));
                 }
             }
         }

@@ -272,3 +272,43 @@ proptest! {
         }
     }
 }
+
+/// Distinct request ids draw distinct nonce spaces. A tenant serves
+/// request 0, request 1, and then the id whose splitmix image is 0 (a
+/// hashed salt would hand it request 0's nonce); the daemon-lifetime pad
+/// ledger must still count no CTR pad issued twice.
+#[test]
+fn request_ids_never_share_a_nonce_space() {
+    use seculator::client::Client;
+    use seculator::core::campaign_models;
+    use seculator::wire::{wire_identity, DaemonConfig, LoopbackNet};
+
+    let seed = 7;
+    let (root, _) = wire_identity(seed);
+    let mlp = campaign_models()
+        .into_iter()
+        .find(|m| m.name == "mlp")
+        .expect("mlp is a campaign model");
+    let net = LoopbackNet::new(&DaemonConfig::new(seed), seed);
+    let mut client = Client::new(LoopbackNet::connect(&net), 0);
+    client
+        .authenticate(&root.derive_tenant(0), seed)
+        .expect("handshake");
+    for request_id in [0, 1, 0x61C8_8646_80B5_83EB] {
+        client
+            .submit(request_id, mlp.name, mlp.input.clone())
+            .expect("admitted");
+        let state = client.wait_terminal(request_id, 1 << 16).expect("served");
+        assert!(
+            matches!(state, RequestState::Completed { .. }),
+            "request {request_id:#x}: {state:?}"
+        );
+    }
+    let net = net.borrow();
+    assert!(net.daemon().pads_issued() > 0);
+    assert_eq!(
+        net.daemon().pad_collisions(),
+        0,
+        "a request reissued another request's CTR pads"
+    );
+}
