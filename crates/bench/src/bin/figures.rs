@@ -7,7 +7,7 @@
 //!
 //! Experiment ids: table1, table2, table3, table4, table5, table6,
 //! table7, table8, table9, table10, fig4, fig5, fig7, fig8, fig9,
-//! energy, mea, noise, batch, reuse, roofline, audit, detection-latency,
+//! energy, mea, noise, reuse, roofline, audit, detection-latency,
 //! ablate-maccache, ablate-blocksize, ablate-bandwidth, json, vngen,
 //! throughput, serve, daemon.
 //!
@@ -59,20 +59,29 @@ use seculator_core::{SchemeKind, TimingNpu};
 use seculator_models::zoo;
 use seculator_sim::config::NpuConfig;
 
+/// Exits 2 with `msg` and the argument synopsis.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\nusage: figures [<id>|all] [--quick] [--check] [--metrics <path>]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let which = argv
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let quick = argv.iter().any(|a| a == "--quick");
-    let check = argv.iter().any(|a| a == "--check");
-    let metrics = argv
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
+    let (mut which, mut quick, mut check, mut metrics) = (None, false, false, None);
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--check" => check = true,
+            "--metrics" => match argv.next() {
+                Some(path) if !path.starts_with("--") => metrics = Some(path),
+                _ => usage("--metrics needs a path"),
+            },
+            flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
+            _ if which.is_some() => usage(&format!("unexpected argument `{arg}`")),
+            _ => which = Some(arg),
+        }
+    }
+    let which = which.unwrap_or_else(|| "all".to_string());
     let all = which == "all";
     let mut ran = false;
     macro_rules! exp {
@@ -112,7 +121,6 @@ fn main() {
     exp!("energy", energy());
     exp!("mea", mea());
     exp!("detection-latency", detection_latency_exp());
-    exp!("batch", batch_exp());
     exp!("noise", noise_exp());
     exp!("reuse", reuse_exp());
     exp!("roofline", roofline_exp());
@@ -696,35 +704,6 @@ fn noise_exp() {
     }
     println!("\nMore dummy traffic ⇒ blurrier extraction, at a proportional bandwidth");
     println!("cost the defender tunes (complementary to layer widening).");
-}
-
-fn batch_exp() {
-    println!("Batch amortization (extension): per-inference cycles vs batch size,");
-    println!("normalized to the steady state. One-time weight provisioning and");
-    println!("per-inference re-keying amortize quickly.\n");
-    let npu = TimingNpu::new(NpuConfig::paper());
-    let cfg = seculator_core::pipeline::PipelineConfig::default();
-    let batches = [1u32, 2, 4, 8, 16, 64, 256];
-    print!("{:<12}", "workload");
-    for b in batches {
-        print!(" {:>8}", format!("b={b}"));
-    }
-    println!();
-    for net in [zoo::mobilenet(), zoo::resnet18()] {
-        let curve = seculator_core::pipeline::amortization_curve(
-            &npu,
-            &net,
-            SchemeKind::Seculator,
-            &batches,
-            &cfg,
-        )
-        .expect("maps");
-        print!("{:<12}", net.name);
-        for (_, v) in curve {
-            print!(" {v:>8.3}");
-        }
-        println!();
-    }
 }
 
 fn detection_latency_exp() {

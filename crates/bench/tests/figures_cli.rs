@@ -4,18 +4,18 @@
 
 use std::process::Command;
 
-fn run(arg: &str) -> String {
+fn run(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .arg(arg)
+        .args(args)
         .output()
         .expect("figures binary runs");
-    assert!(out.status.success(), "`figures {arg}` failed: {:?}", out);
+    assert!(out.status.success(), "`figures {args:?}` failed: {:?}", out);
     String::from_utf8(out.stdout).expect("utf8 output")
 }
 
 #[test]
 fn table2_prints_all_nine_rows_with_validated_patterns() {
-    let out = run("table2");
+    let out = run(&["table2"]);
     assert!(out.contains("P1:Multi-step"));
     assert!(out.contains("P2:Step"));
     assert!(out.contains("P5:Line"));
@@ -24,7 +24,7 @@ fn table2_prints_all_nine_rows_with_validated_patterns() {
 
 #[test]
 fn table5_lists_all_six_designs() {
-    let out = run("table5");
+    let out = run(&["table5"]);
     for name in [
         "baseline",
         "secure",
@@ -39,7 +39,7 @@ fn table5_lists_all_six_designs() {
 
 #[test]
 fn table6_reports_paper_and_model_columns() {
-    let out = run("table6");
+    let out = run(&["table6"]);
     assert!(out.contains("AES-128"));
     assert!(out.contains("VN generator"));
     assert!(out.contains("3900"), "paper area value present");
@@ -47,7 +47,7 @@ fn table6_reports_paper_and_model_columns() {
 
 #[test]
 fn table7_shows_the_register_budget() {
-    let out = run("table7");
+    let out = run(&["table7"]);
     assert!(out.contains("seculator"));
     assert!(
         out.contains("272"),
@@ -55,18 +55,32 @@ fn table7_shows_the_register_budget() {
     );
 }
 
+/// An unknown id or flag, a second id, and a `--metrics` without its
+/// path fail and run nothing; the id is the first argument that is
+/// neither a flag nor the value of `--metrics`.
 #[test]
 fn unknown_experiment_fails_cleanly() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .arg("not-an-experiment")
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
+    for args in [
+        &["not-an-experiment"][..],
+        &["table1", "--quik"],
+        &["table1", "--metrics"],
+        &["table1", "table2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "`figures {args:?}` must fail");
+        assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+    }
+    let metrics = std::env::temp_dir().join("figures-cli-metrics.json");
+    let out = run(&["--metrics", metrics.to_str().expect("utf-8 path"), "table1"]);
+    assert!(out.contains("════════ table1 ════════"), "{out}");
 }
 
 #[test]
 fn json_export_is_parseable_shape() {
-    let out = run("json");
+    let out = run(&["json"]);
     let payload = out.lines().last().expect("payload line");
     assert!(payload.starts_with('[') && payload.ends_with(']'));
     assert!(payload.contains("\"workload\":\"VGG16\""));

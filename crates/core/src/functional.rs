@@ -9,13 +9,14 @@
 //! convolution arithmetic.
 
 use crate::mac_verify::{LayerMacVerifier, ReadOnlyVerifier};
+use crate::npu::{lay_out, Regions};
 use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, UntrustedDram};
 use crate::vngen::VnGenerator;
 use seculator_arch::dataflow::ReadFactor;
 use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass};
 use seculator_crypto::keys::DeviceSecret;
 use seculator_crypto::xor_mac::MacRegister;
-use seculator_sim::address::{AddressAllocator, TensorRegion};
+use seculator_sim::address::TensorRegion;
 
 pub use crate::error::SecurityError;
 
@@ -57,18 +58,6 @@ pub enum Attack {
     },
 }
 
-/// Per-layer tensor bindings in the simulated address space.
-#[derive(Debug, Clone, Copy)]
-struct LayerRegions {
-    ifmap: TensorRegion,
-    weights: Option<TensorRegion>,
-    ofmap: TensorRegion,
-    /// Layer id that produced the ifmap contents (MACs bind to it).
-    ifmap_producer: u32,
-    /// VN the ifmap carries.
-    ifmap_vn: u32,
-}
-
 /// Result of a functional run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalReport {
@@ -87,11 +76,6 @@ pub struct FunctionalReport {
 fn tile_blocks(tile: u64, tile_bytes: u64) -> std::ops::Range<u64> {
     let bpt = tile_bytes.div_ceil(64);
     tile * bpt..(tile + 1) * bpt
-}
-
-/// Region size for `tiles` block-aligned tiles of `tile_bytes` each.
-fn region_bytes(tiles: u64, tile_bytes: u64) -> u64 {
-    tiles * tile_bytes.div_ceil(64) * 64
 }
 
 /// Deterministic synthetic plaintext for a block: a keyed fill pattern
@@ -150,42 +134,16 @@ impl FunctionalNpu {
     /// Returns the first [`SecurityError`] detected. An error is the
     /// *desired* outcome when an [`Attack`] was injected.
     pub fn run(&mut self, schedules: &[LayerSchedule]) -> Result<FunctionalReport, SecurityError> {
-        let mut alloc = AddressAllocator::new();
-        // Input image region (producer "layer" id = u32::MAX sentinel 0
-        // is fine as long as it is consistent; we use the first layer's
-        // id with vn 0 and pre-populate DRAM as the host would).
-        let mut regions: Vec<LayerRegions> = Vec::with_capacity(schedules.len());
-        let input_region = alloc.alloc(
-            schedules
-                .first()
-                .map(|s| region_bytes(s.ifmap_tiles(), s.ifmap_tile_bytes()))
-                .unwrap_or(0),
-        );
-        let mut prev_ofmap: Option<(TensorRegion, u32, u32)> = None; // (region, producer, vn)
-        for s in schedules {
-            let (ifmap, producer, vn) = match prev_ofmap {
-                Some(x) => x,
-                None => (input_region, u32::MAX, 1),
-            };
-            let weights = (s.weight_tile_bytes() > 0).then(|| {
-                alloc.alloc(region_bytes(
-                    u64::from(s.spec().alphas.alpha_c) * u64::from(s.spec().alphas.alpha_k),
-                    s.weight_tile_bytes(),
-                ))
-            });
-            let ofmap = alloc.alloc(region_bytes(s.ofmap_tiles(), s.ofmap_tile_bytes()));
-            regions.push(LayerRegions {
-                ifmap,
-                weights,
-                ofmap,
-                ifmap_producer: producer,
-                ifmap_vn: vn,
-            });
-            prev_ofmap = Some((ofmap, s.layer().id, s.write_pattern().final_vn()));
-        }
+        // The timing simulator's layout, so both see the same block
+        // addresses.
+        let regions = lay_out(schedules);
 
-        // Host provisions the encrypted input image and weights.
-        self.provision_tensor(input_region, u32::MAX, 1);
+        // Host provisions the encrypted input image (producer `u32::MAX`,
+        // VN 1) and weights.
+        let mut ifmap_source = (u32::MAX, 1);
+        if let Some(input) = regions.first() {
+            self.provision_tensor(input.ifmap, ifmap_source.0, ifmap_source.1);
+        }
         let mut weight_refs: Vec<Option<MacRegister>> = Vec::with_capacity(schedules.len());
         for (s, r) in schedules.iter().zip(&regions) {
             weight_refs.push(
@@ -214,9 +172,11 @@ impl FunctionalNpu {
             }
         }
 
-        for (idx, s) in schedules.iter().enumerate() {
-            self.run_layer(s, &regions[idx], weight_refs[idx].as_ref())?;
-            self.apply_post_layer_attacks(s.layer().id, &regions[idx]);
+        for ((s, r), weight_ref) in schedules.iter().zip(&regions).zip(&weight_refs) {
+            self.run_layer(s, r, ifmap_source, weight_ref.as_ref())?;
+            self.apply_post_layer_attacks(s.layer().id, r);
+            // The next ifmap is this ofmap, at this layer's final VN.
+            ifmap_source = (s.layer().id, s.write_pattern().final_vn());
         }
 
         // Host drains the last layer's output and closes its equation.
@@ -263,7 +223,7 @@ impl FunctionalNpu {
         agg
     }
 
-    fn apply_post_layer_attacks(&mut self, layer_id: u32, r: &LayerRegions) {
+    fn apply_post_layer_attacks(&mut self, layer_id: u32, r: &Regions) {
         let attacks: Vec<Attack> = self.attacks.clone();
         for a in attacks {
             match a {
@@ -290,11 +250,12 @@ impl FunctionalNpu {
     fn run_layer(
         &mut self,
         s: &LayerSchedule,
-        r: &LayerRegions,
+        r: &Regions,
+        (ifmap_producer, ifmap_vn): (u32, u32),
         weight_ref: Option<&MacRegister>,
     ) -> Result<(), SecurityError> {
         self.verifier.begin_layer();
-        let mut vngen = VnGenerator::new(s.write_pattern(), s.read_pattern(), r.ifmap_vn);
+        let mut vngen = VnGenerator::new(s.write_pattern(), s.read_pattern(), ifmap_vn);
         let mut weights = ReadOnlyVerifier::new();
         let layer_id = s.layer().id;
         let ifmap_tile_b = s.ifmap_tile_bytes();
@@ -328,8 +289,8 @@ impl FunctionalNpu {
                         for b in tile_blocks(a.tile, ifmap_tile_b) {
                             let coords = BlockCoords {
                                 fmap_id: r.ifmap.fmap_id,
-                                layer_id: r.ifmap_producer,
-                                version: r.ifmap_vn,
+                                layer_id: ifmap_producer,
+                                version: ifmap_vn,
                                 block_index: b as u32,
                             };
                             let (_, mac) =

@@ -75,12 +75,6 @@ pub fn table6_modules() -> [ModuleCost; 3] {
     ]
 }
 
-/// Total paper-reported overhead (the "4210 µm², sub-mW" headline).
-#[must_use]
-pub fn total_paper_area_um2() -> f64 {
-    table6_modules().iter().map(|m| m.paper_area_um2).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +95,9 @@ mod tests {
 
     #[test]
     fn totals_match_paper_headline() {
-        assert!((total_paper_area_um2() - 4210.0).abs() < 1.0);
+        // The paper's "4210 µm², sub-mW" headline.
+        let total_area: f64 = table6_modules().iter().map(|m| m.paper_area_um2).sum();
+        assert!((total_area - 4210.0).abs() < 1.0);
         let total_power: f64 = table6_modules().iter().map(|m| m.paper_power_uw).sum();
         assert!(total_power < 1000.0, "sub-mW total power");
     }

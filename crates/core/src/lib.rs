@@ -24,7 +24,6 @@ pub mod mac_verify;
 pub mod mea;
 pub mod noise;
 pub mod npu;
-pub mod pipeline;
 pub mod retry;
 pub mod secure_infer;
 pub mod secure_memory;
@@ -61,7 +60,6 @@ pub use mac_verify::{EagerLayerVerifier, LayerMacVerifier, ReadOnlyVerifier, Ver
 pub use mea::{evaluate_defense, infer_layer_dims, AddressTraceObserver, MeaReport};
 pub use noise::{observe_network_with_noise, observe_with_noise, NoiseConfig, NoisyObservation};
 pub use npu::TimingNpu;
-pub use pipeline::{amortization_curve, run_batch, BatchStats, PipelineConfig};
 pub use retry::{RetryPolicy, RobustnessPolicy, SheddingPolicy};
 pub use secure_infer::{
     infer_journaled, infer_plain, infer_resume, AbortReport, Instruments, JournaledError,

@@ -35,9 +35,9 @@ pub struct TimingNpu {
 /// The DRAM regions of one layer's three tensors.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Regions {
-    ifmap: TensorRegion,
-    weights: Option<TensorRegion>,
-    ofmap: TensorRegion,
+    pub(crate) ifmap: TensorRegion,
+    pub(crate) weights: Option<TensorRegion>,
+    pub(crate) ofmap: TensorRegion,
 }
 
 impl Regions {

@@ -44,12 +44,6 @@ impl UntrustedDram {
         self.blocks.get(&addr).copied().unwrap_or([0u8; 64])
     }
 
-    /// Number of distinct blocks ever written.
-    #[must_use]
-    pub fn footprint_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Every stored `(addr, block)` pair in ascending address order —
     /// the canonical serialization order for durable snapshots.
     #[must_use]
@@ -711,6 +705,6 @@ mod tests {
     fn untouched_memory_reads_as_zero_ciphertext() {
         let dram = UntrustedDram::new();
         assert_eq!(dram.load(0xDEAD), [0u8; 64]);
-        assert_eq!(dram.footprint_blocks(), 0);
+        assert!(dram.blocks.is_empty());
     }
 }

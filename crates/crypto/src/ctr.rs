@@ -213,61 +213,6 @@ impl AesCtr {
         self.encrypt_block64(ciphertext, counter)
     }
 
-    /// Encrypts a batch of 64-byte blocks, one counter per block,
-    /// amortizing counter-block setup across the tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len() != counters.len()` — a mismatched batch is
-    /// a caller bug, never recoverable data.
-    #[must_use]
-    pub fn encrypt_blocks64(
-        &self,
-        blocks: &[[u8; 64]],
-        counters: &[BlockCounter],
-    ) -> Vec<[u8; 64]> {
-        assert_eq!(
-            blocks.len(),
-            counters.len(),
-            "one counter per 64-byte block"
-        );
-        let mut out = vec![[0u8; 64]; blocks.len()];
-        for ((out, pt), counters) in out
-            .chunks_mut(8)
-            .zip(blocks.chunks(8))
-            .zip(counters.chunks(8))
-        {
-            self.pads_into(counters, out);
-            for (o, p) in out.iter_mut().zip(pt.iter()) {
-                for (ob, pb) in o.iter_mut().zip(p.iter()) {
-                    *ob ^= pb;
-                }
-            }
-        }
-        out
-    }
-
-    /// Writes the raw keystream for `counters` into `out`
-    /// (64 bytes per counter, concatenated in order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 64 * counters.len()`.
-    pub fn keystream_into(&self, counters: &[BlockCounter], out: &mut [u8]) {
-        assert_eq!(
-            out.len(),
-            64 * counters.len(),
-            "keystream buffer must be exactly 64 bytes per counter"
-        );
-        let mut pads = [[0u8; 64]; 8];
-        for (counters, chunk) in counters.chunks(8).zip(out.chunks_mut(64 * 8)) {
-            self.pads_into(counters, &mut pads[..counters.len()]);
-            for (dst, pad) in chunk.chunks_exact_mut(64).zip(pads.iter()) {
-                dst.copy_from_slice(pad);
-            }
-        }
-    }
-
     /// Encrypts an arbitrary byte stream starting at `initial`, advancing
     /// the minor counter per 16-byte AES block (classic SP 800-38A CTR).
     ///
@@ -375,32 +320,15 @@ mod tests {
         assert_eq!(&pad[48..64], &expected[..]);
         // The scalar reference path must agree byte-for-byte.
         assert_eq!(pad, ctr.pad64_scalar(counter));
-        // And the batch API must match the single-block API.
+        // And a batch of pads must match the single-block API.
         let pt = [[0x5Au8; 64], [0xA5u8; 64]];
         let counters = [counter, BlockCounter::from_parts(1, 2, 3, 4)];
-        let batch = ctr.encrypt_blocks64(&pt, &counters);
-        assert_eq!(batch[0], ctr.encrypt_block64(&pt[0], counters[0]));
-        assert_eq!(batch[1], ctr.encrypt_block64(&pt[1], counters[1]));
-    }
-
-    #[test]
-    fn keystream_into_matches_pad64_per_counter() {
-        let ctr = AesCtr::new(b"0123456789abcdef");
-        let counters: Vec<BlockCounter> = (0..5)
-            .map(|i| BlockCounter::from_parts(2, 7, 1, i))
-            .collect();
-        let mut stream = vec![0u8; 64 * counters.len()];
-        ctr.keystream_into(&counters, &mut stream);
-        for (i, &c) in counters.iter().enumerate() {
-            assert_eq!(&stream[64 * i..64 * (i + 1)], &ctr.pad64(c)[..]);
+        let mut batch = [[0u8; 64]; 2];
+        ctr.pads_into(&counters, &mut batch);
+        for ((block, p), &c) in batch.iter_mut().zip(&pt).zip(&counters) {
+            block.iter_mut().zip(p).for_each(|(b, x)| *b ^= x);
+            assert_eq!(*block, ctr.encrypt_block64(p, c));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one counter per 64-byte block")]
-    fn encrypt_blocks64_rejects_mismatched_batch() {
-        let ctr = AesCtr::new(b"0123456789abcdef");
-        let _ = ctr.encrypt_blocks64(&[[0u8; 64]], &[]);
     }
 
     #[test]

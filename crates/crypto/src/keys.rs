@@ -94,19 +94,6 @@ impl SessionKey {
         key.copy_from_slice(&digest[..16]);
         Self(key)
     }
-
-    /// Derives a sub-key for a named purpose (e.g., the XTS tweak key),
-    /// so one session key can seed independent cipher instances.
-    #[must_use]
-    pub fn subkey(&self, label: &str) -> [u8; 16] {
-        let mut h = Sha256::new();
-        h.update(&self.0);
-        h.update(label.as_bytes());
-        let digest = h.finalize();
-        let mut key = [0u8; 16];
-        key.copy_from_slice(&digest[..16]);
-        key
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +156,6 @@ mod tests {
             DeviceSecret::from_seed(6).derive_tenant(3),
             root.derive_tenant(3)
         );
-    }
-
-    #[test]
-    fn subkeys_are_independent() {
-        let key = SessionKey::derive(&DeviceSecret::from_seed(3), 9);
-        assert_ne!(key.subkey("data"), key.subkey("tweak"));
-        assert_eq!(key.subkey("data"), key.subkey("data"));
     }
 
     #[test]

@@ -33,15 +33,6 @@ impl TensorRegion {
         assert!(index < self.blocks(), "block index out of region");
         self.base + index * 64
     }
-
-    /// The range of block indices covered by the byte span
-    /// `[offset, offset + len)` of this region, clamped to the region.
-    #[must_use]
-    pub fn block_span(&self, offset: u64, len: u64) -> std::ops::Range<u64> {
-        let start = (offset / 64).min(self.blocks());
-        let end = (offset + len).div_ceil(64).min(self.blocks());
-        start..end
-    }
 }
 
 /// Bump allocator over the simulated physical address space.
@@ -70,12 +61,6 @@ impl AddressAllocator {
         self.next_fmap_id += 1;
         region
     }
-
-    /// Total bytes allocated so far.
-    #[must_use]
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next_base
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +75,7 @@ mod tests {
         assert_eq!(r1.bytes, 128, "rounded to block multiple");
         assert_eq!(r2.base, 128);
         assert_ne!(r1.fmap_id, r2.fmap_id);
-        assert_eq!(a.allocated_bytes(), 192);
+        assert_eq!(a.next_base, 192);
     }
 
     #[test]
@@ -101,16 +86,6 @@ mod tests {
         assert_eq!(r.blocks(), 4);
         assert_eq!(r.block_addr(0), 64);
         assert_eq!(r.block_addr(3), 64 + 192);
-    }
-
-    #[test]
-    fn block_span_clamps_to_region() {
-        let mut a = AddressAllocator::new();
-        let r = a.alloc(256);
-        assert_eq!(r.block_span(0, 64), 0..1);
-        assert_eq!(r.block_span(64, 65), 1..3);
-        assert_eq!(r.block_span(0, 10_000), 0..4);
-        assert_eq!(r.block_span(10_000, 64), 4..4);
     }
 
     #[test]

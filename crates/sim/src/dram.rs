@@ -87,20 +87,6 @@ impl Dram {
         self.cfg.latency_cycles + (bytes as f64 / self.cfg.bytes_per_cycle).ceil() as u64
     }
 
-    /// Cycles for `count` independent small accesses of `bytes` each that
-    /// cannot be coalesced into one burst (e.g. scattered MAC reads).
-    /// Latency pipelines across them with factor 1/4 after the first.
-    #[must_use]
-    pub fn scattered_cycles(&self, count: u64, bytes: u64) -> u64 {
-        if count == 0 || bytes == 0 {
-            return 0;
-        }
-        let first = self.cfg.latency_cycles;
-        let rest = (count - 1) * (self.cfg.latency_cycles / 4);
-        let bw = ((count * bytes) as f64 / self.cfg.bytes_per_cycle).ceil() as u64;
-        first + rest + bw
-    }
-
     /// Records a read burst and returns its service cycles.
     pub fn read(&mut self, bytes: u64, class: TrafficClass) -> u64 {
         if bytes == 0 {
@@ -213,13 +199,5 @@ mod tests {
         assert_eq!(s.meta_write_bytes, 64);
         assert_eq!(s.total_bytes(), 192);
         assert!((s.metadata_fraction() - 64.0 / 192.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scattered_accesses_cost_more_than_one_burst() {
-        let d = dram();
-        assert!(d.scattered_cycles(8, 64) > d.burst_cycles(8 * 64));
-        assert_eq!(d.scattered_cycles(0, 64), 0);
-        assert_eq!(d.scattered_cycles(1, 64), d.burst_cycles(64));
     }
 }

@@ -69,12 +69,6 @@ impl EnergyBreakdown {
     pub fn total_pj(&self) -> f64 {
         self.dram_data_pj + self.dram_meta_pj + self.compute_pj + self.cache_pj + self.crypto_pj
     }
-
-    /// Total energy in millijoules, for human-sized reporting.
-    #[must_use]
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() / 1e9
-    }
 }
 
 impl EnergyModel {
@@ -161,6 +155,6 @@ mod tests {
         let e = m.estimate(&run_with(640, 64), 1_000_000, true);
         let sum = e.dram_data_pj + e.dram_meta_pj + e.compute_pj + e.cache_pj + e.crypto_pj;
         assert!((e.total_pj() - sum).abs() < 1e-9);
-        assert!(e.total_mj() > 0.0);
+        assert!(e.total_pj() > 0.0);
     }
 }

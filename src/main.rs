@@ -74,6 +74,68 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The options of each command, as the usage text lists them. `daemon
+/// --loopback` is the daemon's second form; `restart-worker` is the
+/// child the restart campaign's process phase spawns. `--loopback` is
+/// the one option that takes no value.
+const COMMAND_OPTIONS: &[(&str, &str)] = &[
+    ("run", "--network --scheme"),
+    ("compare", "--network"),
+    ("patterns", "--k --c --hw"),
+    ("attack", ""),
+    ("fault-campaign", "--seed --faults --clean"),
+    ("crash-campaign", "--seed --cuts"),
+    ("serve-campaign", "--seed --sessions"),
+    ("chaos-campaign", "--seed --sessions"),
+    ("restart-campaign", "--seed --cuts --proc-cuts"),
+    (
+        "daemon",
+        "--listen --port-file --seed --home --max-requests",
+    ),
+    (
+        "daemon --loopback",
+        "--loopback --seed --sessions --requests --home",
+    ),
+    ("submit", "--connect --seed --tenant --model --request"),
+    ("restart-worker", "--model --home --cut"),
+    ("storage", "--network"),
+    ("describe", "--network"),
+    ("stats", "--format"),
+];
+
+/// Options every command takes.
+const GLOBAL_OPTIONS: [&str; 3] = ["--threads", "--backend", "--metrics"];
+
+/// Checks `args` (the command first) against [`COMMAND_OPTIONS`] before
+/// anything runs: an unknown command, an option the command does not
+/// take, and a value-taking option without its value are usage errors
+/// (exit 2). [`opt`] cannot tell a trailing flag from an absent one, so
+/// either would otherwise run the defaults.
+fn check_options(args: &[String]) {
+    let form = match args[0].as_str() {
+        "daemon" if args.iter().any(|a| a == "--loopback") => "daemon --loopback",
+        cmd => cmd,
+    };
+    let Some((_, options)) = COMMAND_OPTIONS.iter().find(|(c, _)| *c == form) else {
+        usage()
+    };
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !options
+            .split_whitespace()
+            .chain(GLOBAL_OPTIONS)
+            .any(|o| o == arg)
+        {
+            eprintln!("`{form}` does not take `{arg}`");
+            usage()
+        }
+        if arg != "--loopback" && rest.next().is_none_or(|v| v.starts_with("--")) {
+            eprintln!("{arg} needs a value");
+            usage()
+        }
+    }
+}
+
 fn opt(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -482,6 +544,7 @@ fn run_tcp_daemon(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    check_options(&args);
     configure_threads(&args);
     configure_backend(&args);
     let metrics_path = opt(&args, "--metrics");

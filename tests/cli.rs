@@ -268,6 +268,19 @@ fn campaigns_share_the_exit_code_contract() {
     // Unknown commands are usage errors too (exit 2, not 1).
     let (code, _, _) = run_code(&["frobnicate"]);
     assert_eq!(code, Some(2));
+    // So is an option given without its value, or one the command does
+    // not take: neither may run the defaults.
+    for args in [
+        &["fault-campaign", "--seed"][..],
+        &["run", "--network"],
+        &["serve-campaign", "--sessions", "2", "--threads"],
+        &["crash-campaign", "--seeds", "7"],
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
 }
 
 /// A size option that leaves a campaign nothing to run is a usage error
