@@ -9,7 +9,11 @@
 //! table7, table8, table9, table10, fig4, fig5, fig7, fig8, fig9,
 //! energy, mea, noise, reuse, roofline, audit, detection-latency,
 //! ablate-maccache, ablate-blocksize, ablate-bandwidth, json, vngen,
-//! throughput, serve, daemon.
+//! throughput, compute, serve, daemon.
+//!
+//! Only `throughput`, `compute`, `serve` and `daemon` read flags (see
+//! [`FLAG_READERS`]); any other id given `--quick`, `--check` or
+//! `--metrics` exits 2 rather than ignore it.
 //!
 //! `vngen` times the VN generator FSM against the closed-form VN formula
 //! and a TNPU-style per-tile version table on one 65,536-VN pattern, and
@@ -25,6 +29,17 @@
 //! session and daemon request runs. It writes `BENCH_throughput.json`
 //! (`seculator-bench-throughput-v2`) next to the working directory in
 //! addition to the console table.
+//!
+//! `compute` times the int8 convolution kernel against the scalar
+//! oracle it replaced, on the eight serving layers of the campaign
+//! models and on one layer per zoo shape (3×3 stride 1 and 2, 1×1
+//! pointwise, a fully-connected layer as 1×1 over 1×1, AlexNet's 11×11
+//! stride 4), asserting bit equality before any timer starts. It
+//! reports time, G MACs/s and speed-up per shape and writes
+//! `BENCH_compute.json` (`seculator-bench-compute-v1`). `--quick`
+//! divides the zoo shapes' spatial sizes by 4; `--check` exits 1 unless
+//! every zoo-scale shape runs at least 3× the oracle. The floor is a
+//! ratio measured in one process, so it holds on any host.
 //!
 //! `serve` sweeps the multi-session scheduler over 1/2/4/8/16/64
 //! concurrent tenant sessions of the same model under a seeded
@@ -59,6 +74,16 @@ use seculator_core::{SchemeKind, TimingNpu};
 use seculator_models::zoo;
 use seculator_sim::config::NpuConfig;
 
+/// The flags each experiment reads; `all` reads their union. Any other
+/// id given one of these flags is a usage error, so no flag is silently
+/// ignored.
+const FLAG_READERS: [(&str, &[&str]); 4] = [
+    ("throughput", &["--quick", "--check", "--metrics"]),
+    ("serve", &["--quick", "--check"]),
+    ("daemon", &["--quick", "--check"]),
+    ("compute", &["--quick", "--check"]),
+];
+
 /// Exits 2 with `msg` and the argument synopsis.
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}\nusage: figures [<id>|all] [--quick] [--check] [--metrics <path>]");
@@ -83,6 +108,23 @@ fn main() {
     }
     let which = which.unwrap_or_else(|| "all".to_string());
     let all = which == "all";
+    if !all {
+        let reads = FLAG_READERS
+            .iter()
+            .find(|(id, _)| *id == which)
+            .map_or(&[][..], |(_, flags)| *flags);
+        let given = [
+            ("--quick", quick),
+            ("--check", check),
+            ("--metrics", metrics.is_some()),
+        ];
+        if let Some((flag, _)) = given
+            .iter()
+            .find(|(flag, set)| *set && !reads.contains(flag))
+        {
+            usage(&format!("`{which}` does not take `{flag}`"));
+        }
+    }
     let mut ran = false;
     macro_rules! exp {
         ($id:expr, $f:expr) => {
@@ -137,6 +179,7 @@ fn main() {
         "throughput",
         throughput(quick || all, check, metrics.as_deref())
     );
+    exp!("compute", compute_exp(quick || all, check));
     exp!("serve", serve_exp(quick || all, check));
     exp!("daemon", daemon_exp(quick || all, check));
 
@@ -1263,6 +1306,212 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             }
             println!("check: aesni ≥ 5x portable parallel on mlp ({gain:.2}x) — OK");
         }
+    }
+}
+
+// ───────────────────────── Compute ─────────────────────────
+
+/// Speed-up over the scalar oracle that every zoo-scale shape must
+/// reach under `compute --check`. Both sides run in the same process
+/// on the same host, so the floor holds on any machine; on a 2-vCPU
+/// development host the kernel ran these shapes at 8–22×.
+const COMPUTE_FLOOR: f64 = 3.0;
+
+/// One timed convolution: the operands, and whether it is a zoo-scale
+/// shape (gated by [`COMPUTE_FLOOR`]) or a serving layer of a campaign
+/// model.
+struct ConvCase {
+    name: String,
+    zoo: bool,
+    input: seculator_compute::QTensor3,
+    weights: seculator_compute::QTensor4,
+    stride: usize,
+    groups: Vec<std::ops::Range<usize>>,
+}
+
+impl ConvCase {
+    fn macs(&self) -> u64 {
+        let (w, s) = (&self.weights, self.stride);
+        (w.k * w.c * w.r * w.s * self.input.h.div_ceil(s) * self.input.w.div_ceil(s)) as u64
+    }
+}
+
+/// The serving layers of the campaign models (each on its real input
+/// activation), then one layer per zoo convolution shape, with spatial
+/// sizes divided by 4 under `--quick`.
+fn compute_cases(quick: bool) -> Vec<ConvCase> {
+    use seculator_compute::{QTensor3, QTensor4};
+    use seculator_core::{campaign_models, infer_plain};
+
+    let mut cases = Vec::new();
+    for m in campaign_models() {
+        for (i, layer) in m.layers.iter().enumerate() {
+            cases.push(ConvCase {
+                name: format!("{} L{i}", m.name),
+                zoo: false,
+                input: infer_plain(&m.layers[..i], &m.input, m.session.shift),
+                weights: layer.weights.clone(),
+                stride: layer.stride,
+                groups: layer.channel_groups.clone(),
+            });
+        }
+    }
+    let conv = |net: &seculator_models::Network, pick: &dyn Fn(&ConvShape) -> bool| {
+        net.layers
+            .iter()
+            .find_map(|l| match l.kind {
+                LayerKind::Conv(c) if pick(&c) => Some(c),
+                _ => None,
+            })
+            .expect("the zoo has a layer of this shape")
+    };
+    let fc = zoo::alexnet()
+        .layers
+        .iter()
+        .find_map(|l| match l.kind {
+            LayerKind::FullyConnected(m) if m.c == 4096 => Some(m),
+            _ => None,
+        })
+        .expect("AlexNet has a 4096 → 4096 classifier layer");
+    let zoo_shapes = [
+        (
+            "ResNet-18 3x3 s1",
+            conv(&zoo::resnet18(), &|c| c.r == 3 && c.stride == 1),
+        ),
+        (
+            "ResNet-18 3x3 s2",
+            conv(&zoo::resnet18(), &|c| c.r == 3 && c.stride == 2),
+        ),
+        (
+            "MobileNet 1x1",
+            conv(&zoo::mobilenet(), &|c| c.r == 1 && c.c == 256 && c.k == 256),
+        ),
+        ("AlexNet fc 1x1/1x1", ConvShape::simple(fc.w, fc.c, 1, 1)),
+        ("AlexNet 11x11 s4", conv(&zoo::alexnet(), &|c| c.r == 11)),
+    ];
+    let shrink = if quick { 4 } else { 1 };
+    for (i, (name, c)) in zoo_shapes.into_iter().enumerate() {
+        let [k, ch, h, w, r, s] = [c.k, c.c, c.h, c.w, c.r, c.s].map(|v| v as usize);
+        let (h, w) = ((h / shrink).max(1), (w / shrink).max(1));
+        cases.push(ConvCase {
+            name: name.to_string(),
+            zoo: true,
+            input: QTensor3::seeded(ch, h, w, 2 * i as u64 + 1),
+            weights: QTensor4::seeded(k, ch, r, s, 2 * i as u64 + 2),
+            stride: c.stride as usize,
+            groups: std::iter::once(0..ch).collect(),
+        });
+    }
+    cases
+}
+
+/// The int8 convolution kernel against the scalar oracle it replaced,
+/// on every serving layer and one layer per zoo shape. Writes
+/// `BENCH_compute.json`; `--check` exits 1 unless every zoo-scale shape
+/// runs at least [`COMPUTE_FLOOR`] times the oracle's rate.
+fn compute_exp(quick: bool, check: bool) {
+    use seculator_bench::oracle_qconv2d_grouped;
+    use seculator_compute::qconv2d_grouped;
+
+    println!("int8 convolution: the kernel behind every convolution against the");
+    println!("scalar oracle it replaced, best of 3 windows each. Every shape's");
+    println!("output equals the oracle's bit for bit by assertion before any");
+    println!("timer starts.\n");
+    // Each window runs at least this many MACs, so the tiny serving
+    // layers repeat enough to be timed.
+    let window_macs: u64 = if quick { 2_000_000 } else { 20_000_000 };
+    println!(
+        "{:<20} {:>10} {:>12} {:>12} {:>9} {:>9}{}",
+        "shape",
+        "MACs",
+        "oracle µs",
+        "kernel µs",
+        "G MACs/s",
+        "speed-up",
+        if quick { "  (quick mode)" } else { "" }
+    );
+
+    let mut timed = Vec::new();
+    for case in compute_cases(quick) {
+        let run = || qconv2d_grouped(&case.input, &case.weights, case.stride, &case.groups);
+        let oracle =
+            || oracle_qconv2d_grouped(&case.input, &case.weights, case.stride, &case.groups);
+        assert_eq!(
+            run(),
+            oracle(),
+            "{}: kernel diverged from the oracle",
+            case.name
+        );
+        let reps = window_macs.div_ceil(case.macs()) as u32;
+        let per_call_us = |f: &dyn Fn()| 1e6 / rate_of(reps, 1, f);
+        let oracle_us = per_call_us(&|| {
+            std::hint::black_box(oracle());
+        });
+        let kernel_us = per_call_us(&|| {
+            std::hint::black_box(run());
+        });
+        println!(
+            "{:<20} {:>10} {:>12.2} {:>12.2} {:>9.2} {:>8.1}x",
+            case.name,
+            case.macs(),
+            oracle_us,
+            kernel_us,
+            case.macs() as f64 / kernel_us / 1e3,
+            oracle_us / kernel_us
+        );
+        timed.push((case, oracle_us, kernel_us));
+    }
+
+    let entries: Vec<String> = timed
+        .iter()
+        .map(|(case, oracle_us, kernel_us)| {
+            let w = &case.weights;
+            format!(
+                "    {{\"shape\":\"{}\",\"scale\":\"{}\",\"k\":{},\"c\":{},\"h\":{},\"w\":{},\
+\"r\":{},\"s\":{},\"stride\":{},\"groups\":{},\"macs\":{},\"oracle_us\":{oracle_us:.3},\
+\"kernel_us\":{kernel_us:.3},\"kernel_gmacs_per_sec\":{:.3},\"speedup\":{:.2},\
+\"bit_identical\":true}}",
+                case.name,
+                if case.zoo { "zoo" } else { "campaign" },
+                w.k,
+                w.c,
+                case.input.h,
+                case.input.w,
+                w.r,
+                w.s,
+                case.stride,
+                case.groups.len(),
+                case.macs(),
+                case.macs() as f64 / kernel_us / 1e3,
+                oracle_us / kernel_us,
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"schema\": \"seculator-bench-compute-v1\",\n  \"quick\": {quick},\n  \
+\"floor_speedup\": {COMPUTE_FLOOR},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    );
+    write_or_die("BENCH_compute.json", &json);
+    println!("\nwrote BENCH_compute.json");
+
+    if check {
+        let zoo_speedups = timed
+            .iter()
+            .filter(|(case, ..)| case.zoo)
+            .map(|(case, oracle_us, kernel_us)| (case.name.as_str(), oracle_us / kernel_us));
+        let (slowest, lowest) = zoo_speedups
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("zoo shapes are timed");
+        if lowest < COMPUTE_FLOOR {
+            eprintln!(
+                "FAIL: {slowest} ran at {lowest:.2}x the scalar oracle (floor {COMPUTE_FLOOR}x)"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check: every zoo-scale shape ≥{COMPUTE_FLOOR}x the oracle (lowest {lowest:.1}x) — OK"
+        );
     }
 }
 

@@ -6,6 +6,9 @@
 
 #![warn(missing_docs)]
 
+use std::ops::Range;
+
+use seculator_compute::{QAccum3, QTensor3, QTensor4};
 use seculator_core::{SchemeKind, TimingNpu};
 use seculator_models::Network;
 use seculator_sim::stats::RunStats;
@@ -91,6 +94,56 @@ pub fn row(name: &str, values: &[f64]) -> String {
     let mut out = format!("{name:<12}");
     for v in values {
         out.push_str(&format!(" {v:>10.3}"));
+    }
+    out
+}
+
+/// The scalar convolution oracle that the compute crate's kernel is
+/// tested (`tests/prop_compute.rs`) and timed (`figures compute`)
+/// against: one channel group at a time in the given order, k → y → x →
+/// c·r·s within a group, with a bounds-checked padded read per
+/// multiply-accumulate. Its result must equal
+/// [`seculator_compute::qconv2d_grouped`] exactly.
+///
+/// # Panics
+///
+/// Panics if channel counts disagree or `stride` is zero.
+#[must_use]
+pub fn oracle_qconv2d_grouped(
+    input: &QTensor3,
+    weights: &QTensor4,
+    stride: usize,
+    channel_group_order: &[Range<usize>],
+) -> QAccum3 {
+    assert_eq!(input.c, weights.c, "channel mismatch");
+    assert!(stride > 0, "stride must be positive");
+    let mut out = QAccum3::zeros(
+        weights.k,
+        input.h.div_ceil(stride),
+        input.w.div_ceil(stride),
+    );
+    let (ks, ys, xs) = (0..weights.k, 0..out.h, 0..out.w);
+    for cs in channel_group_order {
+        let pad_r = (weights.r as isize - 1) / 2;
+        let pad_s = (weights.s as isize - 1) / 2;
+        for k in ks.clone() {
+            for y in ys.clone() {
+                for x in xs.clone() {
+                    let mut acc = 0i32;
+                    for c in cs.clone() {
+                        for r in 0..weights.r {
+                            for s in 0..weights.s {
+                                let iy = (y * stride) as isize + r as isize - pad_r;
+                                let ix = (x * stride) as isize + s as isize - pad_s;
+                                acc += i32::from(input.get_padded(c, iy, ix))
+                                    * i32::from(weights.get(k, c, r, s));
+                            }
+                        }
+                    }
+                    *out.at_mut(k, y, x) += acc;
+                }
+            }
+        }
     }
     out
 }

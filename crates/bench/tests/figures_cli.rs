@@ -56,8 +56,7 @@ fn table7_shows_the_register_budget() {
 }
 
 /// An unknown id or flag, a second id, and a `--metrics` without its
-/// path fail and run nothing; the id is the first argument that is
-/// neither a flag nor the value of `--metrics`.
+/// path fail and run nothing.
 #[test]
 fn unknown_experiment_fails_cleanly() {
     for args in [
@@ -73,9 +72,41 @@ fn unknown_experiment_fails_cleanly() {
         assert!(!out.status.success(), "`figures {args:?}` must fail");
         assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
     }
-    let metrics = std::env::temp_dir().join("figures-cli-metrics.json");
-    let out = run(&["--metrics", metrics.to_str().expect("utf-8 path"), "table1"]);
-    assert!(out.contains("════════ table1 ════════"), "{out}");
+}
+
+/// Only `throughput`, `compute`, `serve`, `daemon` and `all` read
+/// `--quick`, `--check` or `--metrics`; any other id given one of them
+/// exits 2, runs nothing and writes no file. The id is the first
+/// argument that is neither a flag nor the value of `--metrics`.
+#[test]
+fn a_flag_the_experiment_does_not_read_is_refused() {
+    let metrics = std::env::temp_dir().join(format!("figures-cli-{}.json", std::process::id()));
+    let path = metrics.to_str().expect("utf-8 path");
+    for (args, refusal) in [
+        (
+            &["table1", "--check"][..],
+            "`table1` does not take `--check`",
+        ),
+        (
+            &["table1", "--metrics", path],
+            "`table1` does not take `--metrics`",
+        ),
+        (
+            &["--metrics", path, "table1"],
+            "`table1` does not take `--metrics`",
+        ),
+        (&["fig7", "--quick"], "`fig7` does not take `--quick`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "`figures {args:?}`: {out:?}");
+        assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(refusal), "{stderr}");
+        assert!(!metrics.exists(), "`figures {args:?}` wrote {path}");
+    }
 }
 
 #[test]

@@ -53,7 +53,8 @@ impl std::error::Error for ExecError {}
 /// # Panics
 ///
 /// Panics if a trace step carries no ofmap write (every schedule shape
-/// ends each step with one).
+/// ends each step with one), or if the layer depth `c · r · s` exceeds
+/// 131,071, the most products an `i32` accumulator sums exactly.
 pub fn execute_qconv(
     schedule: &LayerSchedule,
     input: &QTensor3,

@@ -43,6 +43,31 @@ impl QTensor3 {
         }
     }
 
+    /// A tensor over `data`, in row-major `c × h × w` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is zero or `data` does not hold `c · h · w`
+    /// values.
+    #[must_use]
+    pub fn from_vec(c: usize, h: usize, w: usize, scale: f32, data: Vec<i8>) -> Self {
+        assert!(c > 0 && h > 0 && w > 0, "dimensions must be non-zero");
+        assert_eq!(data.len(), c * h * w, "data length must be c·h·w");
+        Self {
+            c,
+            h,
+            w,
+            scale,
+            data,
+        }
+    }
+
+    /// Every value, in row-major `c × h × w` order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[i8] {
+        &self.data
+    }
+
     /// Deterministic pseudo-random int8 fill.
     #[must_use]
     pub fn seeded(c: usize, h: usize, w: usize, seed: u64) -> Self {
@@ -177,6 +202,25 @@ impl QAccum3 {
         }
     }
 
+    /// An accumulator plane over `data`, in row-major `k × h × w` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is zero or `data` does not hold `k · h · w`
+    /// values.
+    #[must_use]
+    pub fn from_vec(k: usize, h: usize, w: usize, data: Vec<i32>) -> Self {
+        assert!(k > 0 && h > 0 && w > 0, "dimensions must be non-zero");
+        assert_eq!(data.len(), k * h * w, "data length must be k·h·w");
+        Self { k, h, w, data }
+    }
+
+    /// Every value, in row-major `k × h × w` order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[i32] {
+        &self.data
+    }
+
     /// Value at `(k, y, x)`.
     ///
     /// # Panics
@@ -198,6 +242,14 @@ impl QAccum3 {
         &mut self.data[(k * self.h + y) * self.w + x]
     }
 }
+
+/// Largest layer depth `c · r · s` the kernel accepts: ⌊(2³¹ − 1) / 128²⌋.
+/// An int8 product is at most 128² in magnitude, so a sum of this many
+/// stays inside `i32`, and so does every partial sum on the way. Below
+/// the bound no addition can overflow, and any accumulation order gives
+/// the same bits. The zoo's deepest layer, VGG16's first
+/// fully-connected layer, has 25,088.
+pub(crate) const MAX_DEPTH: usize = i32::MAX as usize / (128 * 128);
 
 /// One convolution's operands: `input` convolved by `weights` at
 /// `stride`, with "same" padding (`pad = (R−1)/2`).
@@ -227,7 +279,18 @@ impl Operands<'_> {
     /// The one accumulate kernel behind [`qconv2d`], [`qconv2d_grouped`]
     /// and [`crate::executor::execute_qconv`]: adds into `out` the
     /// partial convolution over output channels `ks`, output pixels
-    /// `ys × xs` and input channels `cs`, in k → y → x → c·r·s order.
+    /// `ys × xs` and input channels `cs`.
+    ///
+    /// For each output pixel it gathers the zero-padded receptive field
+    /// over `cs` once, in the weights' `c · r · s` order, and then takes
+    /// one contiguous dot product against each output channel's weight
+    /// row. Padding and bounds checks stay in the gather, out of the
+    /// multiply-accumulate loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer depth `weights.c · r · s` exceeds
+    /// [`MAX_DEPTH`], the bound below which `i32` sums are exact.
     pub(crate) fn accumulate(
         &self,
         out: &mut QAccum3,
@@ -235,28 +298,70 @@ impl Operands<'_> {
         (ys, xs): (Range<usize>, Range<usize>),
         cs: Range<usize>,
     ) {
-        let (input, weights, stride) = (self.input, self.weights, self.stride);
-        let pad_r = (weights.r as isize - 1) / 2;
-        let pad_s = (weights.s as isize - 1) / 2;
-        for k in ks {
-            for y in ys.clone() {
-                for x in xs.clone() {
-                    let mut acc = 0i32;
-                    for c in cs.clone() {
-                        for r in 0..weights.r {
-                            for s in 0..weights.s {
-                                let iy = (y * stride) as isize + r as isize - pad_r;
-                                let ix = (x * stride) as isize + s as isize - pad_s;
-                                acc += i32::from(input.get_padded(c, iy, ix))
-                                    * i32::from(weights.get(k, c, r, s));
-                            }
-                        }
-                    }
-                    *out.at_mut(k, y, x) += acc;
+        let weights = self.weights;
+        let taps = weights.r * weights.s;
+        let depth = weights.c * taps;
+        assert!(
+            depth <= MAX_DEPTH,
+            "layer depth {depth} exceeds {MAX_DEPTH}, the most an i32 accumulator holds exactly"
+        );
+        let mut field = vec![0i16; cs.len() * taps];
+        let plane = out.h * out.w;
+        for y in ys {
+            for x in xs.clone() {
+                self.gather(&mut field, (y, x), cs.clone());
+                let pixel = y * out.w + x;
+                for k in ks.clone() {
+                    let row = k * depth + cs.start * taps;
+                    out.data[k * plane + pixel] +=
+                        dot(&field, &weights.data[row..row + field.len()]);
                 }
             }
         }
     }
+
+    /// Writes into `field` the zero-padded receptive field of output
+    /// pixel `(y, x)` over input channels `cs`, in `c · r · s` order.
+    /// Values are widened to `i16` here, once per pixel, so that [`dot`]
+    /// widens only the weights.
+    fn gather(&self, field: &mut [i16], (y, x): (usize, usize), cs: Range<usize>) {
+        let (input, r, s) = (self.input, self.weights.r, self.weights.s);
+        let top = (y * self.stride) as isize - (r as isize - 1) / 2;
+        let left = (x * self.stride) as isize - (s as isize - 1) / 2;
+        let (rows, cols) = (inside(top, r, input.h), inside(left, s, input.w));
+        if rows.len() < r || cols.len() < s {
+            field.fill(0);
+        }
+        for (c, window) in cs.zip(field.chunks_exact_mut(r * s)) {
+            for dy in rows.clone() {
+                let iy = (top + dy as isize) as usize;
+                let from = (c * input.h + iy) * input.w + (left + cols.start as isize) as usize;
+                let to = &mut window[dy * s + cols.start..dy * s + cols.end];
+                for (v, &q) in to.iter_mut().zip(&input.data[from..from + cols.len()]) {
+                    *v = i16::from(q);
+                }
+            }
+        }
+    }
+}
+
+/// The offsets `0..len` of a window starting at `start` whose
+/// positions `start + offset` fall inside `0..bound`.
+fn inside(start: isize, len: usize, bound: usize) -> Range<usize> {
+    let lo = (-start).clamp(0, len as isize);
+    let hi = (bound as isize - start).clamp(lo, len as isize);
+    lo as usize..hi as usize
+}
+
+/// Exact dot product of a gathered receptive field and a weight row:
+/// [`MAX_DEPTH`] keeps the `i32` sum from overflowing.
+#[inline]
+fn dot(field: &[i16], weights: &[i8]) -> i32 {
+    field
+        .iter()
+        .zip(weights)
+        .map(|(&f, &w)| i32::from(f) * i32::from(i16::from(w)))
+        .sum()
 }
 
 /// Direct quantized convolution with exact i32 accumulation
@@ -265,7 +370,9 @@ impl Operands<'_> {
 ///
 /// # Panics
 ///
-/// Panics if channel counts disagree or `stride` is zero.
+/// Panics if channel counts disagree, `stride` is zero, or the layer
+/// depth `c · r · s` exceeds 131,071, the most products an `i32`
+/// accumulator sums exactly.
 #[must_use]
 pub fn qconv2d(input: &QTensor3, weights: &QTensor4, stride: usize) -> QAccum3 {
     qconv2d_grouped(input, weights, stride, std::slice::from_ref(&(0..input.c)))
@@ -278,7 +385,9 @@ pub fn qconv2d(input: &QTensor3, weights: &QTensor4, stride: usize) -> QAccum3 {
 ///
 /// # Panics
 ///
-/// Panics if channel counts disagree or `stride` is zero.
+/// Panics if channel counts disagree, `stride` is zero, or the layer
+/// depth `c · r · s` exceeds 131,071, the most products an `i32`
+/// accumulator sums exactly.
 #[must_use]
 pub fn qconv2d_grouped(
     input: &QTensor3,
@@ -327,6 +436,30 @@ mod tests {
         let weights = QTensor4::seeded(3, 2, 3, 3, 4);
         let out = qconv2d(&input, &weights, 2);
         assert_eq!((out.k, out.h, out.w), (3, 4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer depth 131076 exceeds 131071")]
+    fn a_layer_deeper_than_the_exact_bound_is_refused() {
+        // 14,564 input channels × 3 × 3 = 131,076 > MAX_DEPTH.
+        let input = QTensor3::seeded(14_564, 1, 1, 1);
+        let weights = QTensor4::seeded(1, 14_564, 3, 3, 2);
+        let _ = qconv2d(&input, &weights, 1);
+    }
+
+    #[test]
+    fn the_deepest_zoo_layer_is_within_the_exact_bound() {
+        // VGG16's first fully-connected layer: 25,088 inputs.
+        let (k, c) = (2, 25_088);
+        let input = QTensor3::seeded(c, 1, 1, 1);
+        let weights = QTensor4::seeded(k, c, 1, 1, 2);
+        let out = qconv2d(&input, &weights, 1);
+        for kk in 0..k {
+            let direct: i32 = (0..c)
+                .map(|cc| i32::from(input.get(cc, 0, 0)) * i32::from(weights.get(kk, cc, 0, 0)))
+                .sum();
+            assert_eq!(out.get(kk, 0, 0), direct);
+        }
     }
 
     #[test]

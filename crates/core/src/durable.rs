@@ -59,16 +59,57 @@ use std::path::{Path, PathBuf};
 // CRC32 (IEEE) — framing checksum, not a security boundary
 // ---------------------------------------------------------------------------
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) over `bytes`.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// Slicing-by-8 tables for [`crc32`], built at compile time. Row 0 is
+/// the CRC of each byte value; row `j` advances row `j − 1` by one more
+/// zero byte, so eight rows fold eight input bytes per step.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
+};
+
+/// IEEE CRC-32 (reflected, poly 0xEDB88320) over `bytes`, eight bytes a
+/// step (slicing-by-8).
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let chunks = bytes.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut crc = 0xFFFF_FFFFu32;
+    for c in chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -1421,6 +1462,7 @@ pub fn tamper_frame_fix_crc(file_bytes: &mut Vec<u8>, frame_idx: usize, byte_see
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::splitmix;
     use crate::journal::{campaign_models, CampaignModel};
     use crate::secure_infer::infer_plain;
 
@@ -1433,6 +1475,28 @@ mod tests {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC-32 the tables are derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_form_at_every_length() {
+        let mut state = 0x00C0_FFEE;
+        for len in 0..=2048 {
+            let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker}
 use crate::mac_verify::EagerLayerVerifier;
 use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, UntrustedDram};
 use crate::telemetry::{self, LayerRow};
-use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
+use seculator_compute::quant::{qconv2d, qconv2d_grouped, QAccum3, QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
 
 /// One convolution layer of a quantized network.
@@ -63,56 +63,32 @@ impl QConvLayer {
     }
 }
 
-/// Serializes an int32 accumulator tensor into 64-byte blocks (16 `i32`
-/// values per block, zero-padded).
-fn accum_to_blocks(t: &seculator_compute::quant::QAccum3) -> Vec<Block> {
-    let mut blocks = Vec::new();
-    let mut current = [0u8; 64];
-    let mut fill = 0usize;
-    for k in 0..t.k {
-        for y in 0..t.h {
-            for x in 0..t.w {
-                current[fill..fill + 4].copy_from_slice(&t.get(k, y, x).to_le_bytes());
-                fill += 4;
-                if fill == 64 {
-                    blocks.push(current);
-                    current = [0u8; 64];
-                    fill = 0;
-                }
+/// Serializes an int32 accumulator tensor into 64-byte blocks (16
+/// little-endian `i32` values per block, the last block zero-padded).
+fn accum_to_blocks(t: &QAccum3) -> Vec<Block> {
+    t.as_slice()
+        .chunks(16)
+        .map(|values| {
+            let mut block = [0u8; 64];
+            for (bytes, v) in block.chunks_exact_mut(4).zip(values) {
+                bytes.copy_from_slice(&v.to_le_bytes());
             }
-        }
-    }
-    if fill > 0 {
-        blocks.push(current);
-    }
-    blocks
+            block
+        })
+        .collect()
 }
 
-/// Reconstructs an accumulator tensor from blocks.
-fn blocks_to_accum(
-    blocks: &[Block],
-    k: usize,
-    h: usize,
-    w: usize,
-) -> seculator_compute::quant::QAccum3 {
-    let mut t = seculator_compute::quant::QAccum3::zeros(k, h, w);
-    let mut idx = 0usize;
-    'outer: for kk in 0..k {
-        for y in 0..h {
-            for x in 0..w {
-                let block = idx / 16;
-                let off = (idx % 16) * 4;
-                if block >= blocks.len() {
-                    break 'outer;
-                }
-                let b = &blocks[block];
-                *t.at_mut(kk, y, x) =
-                    i32::from_le_bytes([b[off], b[off + 1], b[off + 2], b[off + 3]]);
-                idx += 1;
-            }
-        }
-    }
-    t
+/// Reconstructs a `k × h × w` accumulator tensor from blocks; values
+/// the blocks do not reach are zero.
+fn blocks_to_accum(blocks: &[Block], k: usize, h: usize, w: usize) -> QAccum3 {
+    let mut values: Vec<i32> = blocks
+        .iter()
+        .flat_map(|b| b.chunks_exact(4))
+        .map(|v| i32::from_le_bytes([v[0], v[1], v[2], v[3]]))
+        .take(k * h * w)
+        .collect();
+    values.resize(k * h * w, 0);
+    QAccum3::from_vec(k, h, w, values)
 }
 
 /// Coordinates of every block of one tile at a fixed `(fmap, layer, VN)`
@@ -131,17 +107,13 @@ fn tile_coords(fmap_id: u32, layer_id: u32, version: u32, blocks: usize) -> Vec<
 
 /// Requantizes an accumulator to int8 activations with a fixed
 /// right-shift (a simple power-of-two requantization).
-fn requantize_shift(t: &seculator_compute::quant::QAccum3, shift: u32) -> QTensor3 {
-    let mut out = QTensor3::zeros(t.k, t.h, t.w, 1.0);
-    for k in 0..t.k {
-        for y in 0..t.h {
-            for x in 0..t.w {
-                let v = t.get(k, y, x) >> shift;
-                *out.at_mut(k, y, x) = v.clamp(-128, 127) as i8;
-            }
-        }
-    }
-    out
+fn requantize_shift(t: &QAccum3, shift: u32) -> QTensor3 {
+    let values = t
+        .as_slice()
+        .iter()
+        .map(|&v| (v >> shift).clamp(-128, 127) as i8)
+        .collect();
+    QTensor3::from_vec(t.k, t.h, t.w, 1.0, values)
 }
 
 /// Unprotected reference inference (plain compute, no DRAM transit).
@@ -634,16 +606,9 @@ pub(crate) fn step_journaled_layer(
         }
         let full = {
             let _stage = telemetry::stage_span(&mut row.compute_ns);
-            let mut full = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
-            for kk in 0..k {
-                for y in 0..h {
-                    for x in 0..w {
-                        *full.at_mut(kk, y, x) =
-                            full.get(kk, y, x).wrapping_add(partial_back.get(kk, y, x));
-                    }
-                }
-            }
-            full
+            let tail = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
+            let sums = tail.as_slice().iter().zip(partial_back.as_slice());
+            QAccum3::from_vec(k, h, w, sums.map(|(a, b)| a.wrapping_add(*b)).collect())
         };
 
         let fblocks = accum_to_blocks(&full);
@@ -1070,6 +1035,25 @@ mod tests {
         let blocks = accum_to_blocks(&acc);
         let back = blocks_to_accum(&blocks, acc.k, acc.h, acc.w);
         assert_eq!(acc, back);
+    }
+
+    #[test]
+    fn a_ragged_tensor_pads_its_last_block_with_zeros() {
+        // 3 × 5 × 7 = 105 values: six full blocks and one holding 9.
+        let values: Vec<i32> = (0..105).map(|i| i * -7919 + 13).collect();
+        let acc = QAccum3::from_vec(3, 5, 7, values.clone());
+        let blocks = accum_to_blocks(&acc);
+        assert_eq!(blocks.len(), 7);
+        for (i, v) in values.iter().enumerate() {
+            let at = (i % 16) * 4;
+            assert_eq!(blocks[i / 16][at..at + 4], v.to_le_bytes(), "value {i}");
+        }
+        assert!(blocks[6][9 * 4..].iter().all(|&b| b == 0), "zero padding");
+        assert_eq!(blocks_to_accum(&blocks, 3, 5, 7), acc);
+        // Values the blocks do not reach read as zero.
+        let short = blocks_to_accum(&blocks[..3], 3, 5, 7);
+        assert_eq!(short.as_slice()[..48], values[..48]);
+        assert!(short.as_slice()[48..].iter().all(|&v| v == 0));
     }
 
     /// One journaled run on a fresh journal and pad tracker, with no

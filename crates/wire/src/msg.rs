@@ -311,13 +311,7 @@ fn put_tensor(b: &mut Vec<u8>, t: &QTensor3) {
     b.extend_from_slice(&(t.h as u32).to_le_bytes());
     b.extend_from_slice(&(t.w as u32).to_le_bytes());
     b.extend_from_slice(&t.scale.to_bits().to_le_bytes());
-    for c in 0..t.c {
-        for y in 0..t.h {
-            for x in 0..t.w {
-                b.push(t.get(c, y, x) as u8);
-            }
-        }
-    }
+    b.extend(t.as_slice().iter().map(|&v| v as u8));
 }
 
 fn put_state(b: &mut Vec<u8>, s: &RequestState) {
@@ -439,18 +433,8 @@ impl Reader<'_> {
                 what: "tensor volume exceeds the frame ceiling",
             });
         }
-        let data = self.take(n)?.to_vec();
-        let mut t = QTensor3::zeros(c, h, w, scale);
-        let mut i = 0;
-        for cc in 0..c {
-            for y in 0..h {
-                for x in 0..w {
-                    *t.at_mut(cc, y, x) = data[i] as i8;
-                    i += 1;
-                }
-            }
-        }
-        Ok(t)
+        let data = self.take(n)?.iter().map(|&v| v as i8).collect();
+        Ok(QTensor3::from_vec(c, h, w, scale, data))
     }
 
     fn state(&mut self) -> Result<RequestState, WireError> {

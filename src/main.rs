@@ -34,43 +34,49 @@ use seculator::wire::{
     TcpServerTransport, TcpWire,
 };
 
+/// The usage text. Its lines sit at column 0 of the source, because a
+/// `\` line continuation would strip their indentation too.
+const USAGE: &str = "\
+usage: seculator <command> [options]
+
+commands:
+  run      --network <name> --scheme <name>   simulate one inference
+  compare  --network <name>                   all designs side by side
+  patterns [--k N --c N --hw N]               derive VN patterns
+  attack                                      functional attack demo
+  fault-campaign [--seed N --faults K --clean J]
+                                              seeded fault-injection sweep
+  crash-campaign [--seed N --cuts K]          seeded power-loss + resume sweep
+  serve-campaign [--seed N --sessions K]      multi-session scheduler + isolation sweep
+  chaos-campaign [--seed N --sessions K]      faults × power cuts across concurrent tenants
+  restart-campaign [--seed N --cuts K --proc-cuts J]
+                                              on-disk persistence sweep: in-process VFS faults
+                                              plus real kill -9 process restarts
+  daemon   --listen ADDR [--port-file P] [--seed N] [--home DIR]
+           [--max-requests K]                 serve the SWP1 wire protocol over TCP
+  daemon   --loopback [--seed N --sessions K --requests R --home DIR]
+                                              deterministic in-process conformance campaign
+  submit   --connect HOST:PORT [--seed N --tenant T --model NAME
+           --request R]                       submit one inference over the wire and wait
+  storage  --network <name>                   Table 7 metadata footprints
+  describe --network <name>                   per-layer mapped loop nests
+  stats    [--format json|prom]               telemetry snapshot of a fixed workload
+
+global options:
+  --threads <N>    worker threads for the parallel crypto datapath
+                   (default: all cores; also honors RAYON_NUM_THREADS;
+                   an explicit flag always wins or the run fails)
+  --backend <b>    crypto backend: auto | portable | bitsliced | aesni
+                   (default: auto = AES-NI/SHA-NI when the CPU has them,
+                   portable otherwise; also honors SECULATOR_BACKEND;
+                   a backend the host cannot run is an error, exit 2)
+  --metrics <path> write the telemetry snapshot JSON there after the run
+
+networks: mobilenet resnet alexnet vgg16 vgg19 tiny
+schemes:  baseline secure tnpu guardnn seculator seculator+";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: seculator <command> [options]\n\n\
-         commands:\n\
-           run      --network <name> --scheme <name>   simulate one inference\n\
-           compare  --network <name>                   all designs side by side\n\
-           patterns [--k N --c N --hw N]               derive VN patterns\n\
-           attack                                      functional attack demo\n\
-           fault-campaign [--seed N --faults K --clean J]\n\
-                                                       seeded fault-injection sweep\n\
-           crash-campaign [--seed N --cuts K]          seeded power-loss + resume sweep\n\
-           serve-campaign [--seed N --sessions K]      multi-session scheduler + isolation sweep\n\
-           chaos-campaign [--seed N --sessions K]      faults × power cuts across concurrent tenants\n\
-           restart-campaign [--seed N --cuts K --proc-cuts J]\n\
-                                                       on-disk persistence sweep: in-process VFS faults\n\
-                                                       plus real kill -9 process restarts\n\
-           daemon   --listen ADDR [--port-file P] [--seed N] [--home DIR]\n\
-                    [--max-requests K]              serve the SWP1 wire protocol over TCP\n\
-           daemon   --loopback [--seed N --sessions K --requests R --home DIR]\n\
-                                                       deterministic in-process conformance campaign\n\
-           submit   --connect HOST:PORT [--seed N --tenant T --model NAME\n\
-                    --request R]                     submit one inference over the wire and wait\n\
-           storage  --network <name>                   Table 7 metadata footprints\n\
-           describe --network <name>                   per-layer mapped loop nests\n\
-           stats    [--format json|prom]               telemetry snapshot of a fixed workload\n\n\
-         global options:\n\
-           --threads <N>   worker threads for the parallel crypto datapath\n\
-                           (default: all cores; also honors RAYON_NUM_THREADS;\n\
-                           an explicit flag always wins or the run fails)\n\
-           --backend <b>   crypto backend: auto | portable | bitsliced | aesni\n\
-                           (default: auto = AES-NI/SHA-NI when the CPU has them,\n\
-                           portable otherwise; also honors SECULATOR_BACKEND;\n\
-                           a backend the host cannot run is an error, exit 2)\n\
-           --metrics <path> write the telemetry snapshot JSON there after the run\n\n\
-         networks: mobilenet resnet alexnet vgg16 vgg19 tiny\n\
-         schemes:  baseline secure tnpu guardnn seculator seculator+"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -108,9 +114,10 @@ const GLOBAL_OPTIONS: [&str; 3] = ["--threads", "--backend", "--metrics"];
 
 /// Checks `args` (the command first) against [`COMMAND_OPTIONS`] before
 /// anything runs: an unknown command, an option the command does not
-/// take, and a value-taking option without its value are usage errors
-/// (exit 2). [`opt`] cannot tell a trailing flag from an absent one, so
-/// either would otherwise run the defaults.
+/// take, an option given twice, and a value-taking option without its
+/// value are usage errors (exit 2). [`opt`] reads the first occurrence
+/// and cannot tell a trailing flag from an absent one, so each of these
+/// would otherwise run something other than what was asked.
 fn check_options(args: &[String]) {
     let form = match args[0].as_str() {
         "daemon" if args.iter().any(|a| a == "--loopback") => "daemon --loopback",
@@ -120,6 +127,7 @@ fn check_options(args: &[String]) {
         usage()
     };
     let mut rest = args[1..].iter().map(String::as_str);
+    let mut seen = Vec::new();
     while let Some(arg) = rest.next() {
         if !options
             .split_whitespace()
@@ -129,6 +137,11 @@ fn check_options(args: &[String]) {
             eprintln!("`{form}` does not take `{arg}`");
             usage()
         }
+        if seen.contains(&arg) {
+            eprintln!("`{arg}` is given more than once");
+            usage()
+        }
+        seen.push(arg);
         if arg != "--loopback" && rest.next().is_none_or(|v| v.starts_with("--")) {
             eprintln!("{arg} needs a value");
             usage()

@@ -283,6 +283,76 @@ fn campaigns_share_the_exit_code_contract() {
     }
 }
 
+/// An option given twice is a usage error: the run never silently takes
+/// one of the two values.
+#[test]
+fn a_repeated_option_is_a_usage_error() {
+    for args in [
+        &[
+            "fault-campaign",
+            "--seed",
+            "1",
+            "--seed",
+            "2",
+            "--faults",
+            "1",
+            "--clean",
+            "0",
+        ][..],
+        &[
+            "serve-campaign",
+            "--threads",
+            "1",
+            "--sessions",
+            "2",
+            "--threads",
+            "2",
+        ],
+        &["daemon", "--loopback", "--loopback"],
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+        assert!(stderr.contains("is given more than once"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
+
+/// The usage text keeps its layout: every command line is indented, and
+/// each wrapped description starts in the description column.
+#[test]
+fn usage_text_keeps_its_columns() {
+    let (code, _, stderr) = run_code(&[]);
+    assert_eq!(code, Some(2));
+    let commands: Vec<&str> = stderr
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert!(commands.len() >= 16, "{stderr}");
+    for line in &commands {
+        assert!(line.starts_with("  "), "unindented command line: {line:?}");
+    }
+    let column = commands[0]
+        .find("simulate one inference")
+        .expect("run's description");
+    for description in [
+        "seeded fault-injection sweep",
+        "on-disk persistence sweep: in-process VFS faults",
+        "plus real kill -9 process restarts",
+        "serve the SWP1 wire protocol over TCP",
+        "deterministic in-process conformance campaign",
+        "submit one inference over the wire and wait",
+    ] {
+        let line = commands
+            .iter()
+            .find(|l| l.ends_with(description))
+            .expect(description);
+        assert_eq!(line.find(description), Some(column), "{line:?}");
+    }
+}
+
 /// A size option that leaves a campaign nothing to run is a usage error
 /// (exit 2 before anything runs), never a vacuous PASS, a FAIL, or a
 /// silently resized run. `--proc-cuts 0` still skips only the restart

@@ -1,16 +1,71 @@
 //! Property tests closing the loop between schedules and arithmetic:
-//! for randomized layer shapes, tilings, strides and filter sizes,
+//! the convolution kernel equals the scalar oracle exactly over strides,
+//! filter sizes, input shapes and channel-group orders; and for
+//! randomized layer shapes, tilings, strides and filter sizes,
 //! replaying every dataflow's schedule trace step by step in int8
 //! computes the direct convolution bit for bit — so the traces (and the
 //! VN patterns derived from them) describe a real computation. The
 //! systolic grid is held to the same exact standard.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 use seculator::arch::dataflow::{ConvDataflow, Dataflow};
 use seculator::arch::layer::{ConvShape, LayerDesc, LayerKind};
 use seculator::arch::tiling::TileConfig;
 use seculator::arch::trace::LayerSchedule;
-use seculator::compute::{execute_qconv, qconv2d, QTensor3, QTensor4, SystolicGrid};
+use seculator::compute::{
+    execute_qconv, qconv2d, qconv2d_grouped, QTensor3, QTensor4, SystolicGrid,
+};
+use seculator::core::splitmix;
+use seculator_bench::oracle_qconv2d_grouped;
+
+/// A seeded partition of `0..c` into contiguous channel groups, in a
+/// seeded order.
+fn channel_groups(c: usize, seed: u64) -> Vec<Range<usize>> {
+    let mut state = seed;
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for end in 1..=c {
+        if end == c || splitmix(&mut state) & 1 == 0 {
+            groups.push(start..end);
+            start = end;
+        }
+    }
+    for i in (1..groups.len()).rev() {
+        let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+        groups.swap(i, j);
+    }
+    groups
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The kernel behind every convolution equals the scalar oracle
+    /// exactly: strides 1–3, filter sizes 1, 2, 3 and 5 in each
+    /// dimension (even sizes take pad 0), non-square inputs down to
+    /// 1×1, and any partition of the input channels into groups, in any
+    /// order.
+    #[test]
+    fn grouped_convolution_matches_the_scalar_oracle(
+        k in 1usize..=6,
+        c in 1usize..=8,
+        h in 1usize..=9,
+        w in 1usize..=9,
+        r in prop::sample::select(vec![1usize, 2, 3, 5]),
+        s in prop::sample::select(vec![1usize, 2, 3, 5]),
+        stride in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let input = QTensor3::seeded(c, h, w, seed);
+        let weights = QTensor4::seeded(k, c, r, s, seed ^ 0x5555);
+        let groups = channel_groups(c, seed);
+        let fast = qconv2d_grouped(&input, &weights, stride, &groups);
+        let oracle = oracle_qconv2d_grouped(&input, &weights, stride, &groups);
+        prop_assert!(fast == oracle, "groups {groups:?} diverged from the oracle");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
