@@ -13,7 +13,7 @@
 //!
 //! Only `throughput`, `compute`, `serve` and `daemon` read flags (see
 //! [`FLAG_READERS`]); any other id given `--quick`, `--check` or
-//! `--metrics` exits 2 rather than ignore it.
+//! `--metrics` exits 2 rather than ignore it, and so does an unknown id.
 //!
 //! `vngen` times the VN generator FSM against the closed-form VN formula
 //! and a TNPU-style per-tile version table on one 65,536-VN pattern, and
@@ -27,8 +27,10 @@
 //! stage-time breakdown — as JSON). Its end-to-end column and its
 //! per-layer rows both come from the journaled inference every campaign,
 //! session and daemon request runs. It writes `BENCH_throughput.json`
-//! (`seculator-bench-throughput-v2`) next to the working directory in
-//! addition to the console table.
+//! (`seculator-bench-throughput-v3`) next to the working directory in
+//! addition to the console table. Its `infer_ms` is the median of 1,000
+//! timed runs per model after a warm-up (50 under `--quick`); the
+//! console prints the quartiles beside it.
 //!
 //! `compute` times the int8 convolution kernel against the scalar
 //! oracle it replaced, on the eight serving layers of the campaign
@@ -90,6 +92,21 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Exits 2 when experiment `id` is given one of the `given` flags that
+/// it does not read.
+fn refuse_unread_flags(id: &str, given: &[(&str, bool)]) {
+    let reads = FLAG_READERS
+        .iter()
+        .find(|(reader, _)| *reader == id)
+        .map_or(&[][..], |(_, flags)| *flags);
+    if let Some((flag, _)) = given
+        .iter()
+        .find(|(flag, set)| *set && !reads.contains(flag))
+    {
+        usage(&format!("`{id}` does not take `{flag}`"));
+    }
+}
+
 fn main() {
     let (mut which, mut quick, mut check, mut metrics) = (None, false, false, None);
     let mut argv = std::env::args().skip(1);
@@ -108,27 +125,18 @@ fn main() {
     }
     let which = which.unwrap_or_else(|| "all".to_string());
     let all = which == "all";
-    if !all {
-        let reads = FLAG_READERS
-            .iter()
-            .find(|(id, _)| *id == which)
-            .map_or(&[][..], |(_, flags)| *flags);
-        let given = [
-            ("--quick", quick),
-            ("--check", check),
-            ("--metrics", metrics.is_some()),
-        ];
-        if let Some((flag, _)) = given
-            .iter()
-            .find(|(flag, set)| *set && !reads.contains(flag))
-        {
-            usage(&format!("`{which}` does not take `{flag}`"));
-        }
-    }
+    let given = [
+        ("--quick", quick),
+        ("--check", check),
+        ("--metrics", metrics.is_some()),
+    ];
     let mut ran = false;
     macro_rules! exp {
         ($id:expr, $f:expr) => {
             if all || which == $id {
+                if !all {
+                    refuse_unread_flags($id, &given);
+                }
                 ran = true;
                 println!("\n════════ {} ════════", $id);
                 $f;
@@ -184,8 +192,9 @@ fn main() {
     exp!("daemon", daemon_exp(quick || all, check));
 
     if !ran {
-        eprintln!("unknown experiment id `{which}`; see the source header for valid ids");
-        std::process::exit(1);
+        usage(&format!(
+            "unknown experiment id `{which}`; see the source header for valid ids"
+        ));
     }
 }
 
@@ -888,15 +897,18 @@ fn rate_of<F: FnMut()>(reps: u32, units_per_rep: usize, mut f: F) -> f64 {
     best
 }
 
-/// Best-of-`reps` wall time of `f` in milliseconds.
-fn best_ms<F: FnMut()>(reps: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+/// First quartile, median and third quartile of `runs` timed calls of
+/// `f`, in milliseconds (nearest rank).
+fn quartiles_ms<F: FnMut()>(runs: usize, mut f: F) -> [f64; 3] {
+    let mut ms: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| ms[((ms.len() - 1) as f64 * q).round() as usize])
 }
 
 /// Writes a benchmark artifact atomically (temp + fsync + rename), so a
@@ -1003,15 +1015,15 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
 
     let tile_blocks: usize = if quick { 192 } else { 1536 };
     let seal_reps: u32 = if quick { 2 } else { 6 };
-    let infer_reps: u32 = if quick { 1 } else { 3 };
+    let infer_runs: usize = if quick { 50 } else { 1000 };
     let threads = rayon::current_num_threads();
     println!(
         "tile: {tile_blocks} × 64 B blocks, {seal_reps} reps; threads: {threads}{}",
         if quick { " (quick mode)" } else { "" }
     );
     println!(
-        "\n{:<12} {:>14} {:>14} {:>8} {:>11}",
-        "model", "seal ser MB/s", "seal par MB/s", "speedup", "infer"
+        "\n{:<12} {:>14} {:>14} {:>8} {:>11}  [q1, q3] of {infer_runs} runs",
+        "model", "seal ser MB/s", "seal par MB/s", "speedup", "infer p50"
     );
 
     let mut rows = Vec::new();
@@ -1133,8 +1145,8 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
 
         // End-to-end: the journaled inference every campaign, session
         // and daemon request runs, on a fresh journal and pad tracker per
-        // run. The first run is checked against the plaintext reference
-        // and supplies the per-layer stage rows printed below.
+        // run. The first run warms up, is checked against the plaintext
+        // reference and supplies the per-layer stage rows printed below.
         let run = || {
             infer_journaled(
                 &m.layers,
@@ -1157,7 +1169,7 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             m.name
         );
         per_model.push((m.name, first.layer_rows));
-        let infer_ms = best_ms(infer_reps, || {
+        let [infer_q1, infer_ms, infer_q3] = quartiles_ms(infer_runs, || {
             std::hint::black_box(run());
         });
 
@@ -1171,7 +1183,7 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
             backends,
         };
         println!(
-            "{:<12} {:>14.1} {:>14.1} {:>7.2}x {:>9.3}ms",
+            "{:<12} {:>14.1} {:>14.1} {:>7.2}x {:>9.3}ms  [{infer_q1:.3}, {infer_q3:.3}]",
             row.model,
             row.seal_serial * 64.0 / 1e6,
             row.seal_parallel * 64.0 / 1e6,
@@ -1230,7 +1242,7 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"seculator-bench-throughput-v2\",\n  \"quick\": {quick},\n  \
+        "{{\n  \"schema\": \"seculator-bench-throughput-v3\",\n  \"quick\": {quick},\n  \
 \"threads\": {threads},\n  \"tile_blocks\": {tile_blocks},\n  \"models\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
@@ -1582,7 +1594,6 @@ fn serve_exp(quick: bool, check: bool) {
             model.session.secret,
             model.session.nonce,
             model.session.shift,
-            model.session.policy,
             max_inflight,
         );
         let mut rng = ARRIVAL_SEED ^ n as u64;

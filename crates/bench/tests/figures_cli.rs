@@ -56,21 +56,34 @@ fn table7_shows_the_register_budget() {
 }
 
 /// An unknown id or flag, a second id, and a `--metrics` without its
-/// path fail and run nothing.
+/// path exit 2 and run nothing. An unknown id is named as unknown
+/// whatever flags come with it, and writes no file.
 #[test]
 fn unknown_experiment_fails_cleanly() {
+    let metrics = std::env::temp_dir().join(format!("figures-unknown-{}.json", std::process::id()));
+    let path = metrics.to_str().expect("utf-8 path");
     for args in [
         &["not-an-experiment"][..],
         &["table1", "--quik"],
         &["table1", "--metrics"],
         &["table1", "table2"],
+        &["nosuch", "--check"],
+        &["nosuch", "--metrics", path],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_figures"))
             .args(args)
             .output()
             .expect("binary runs");
-        assert!(!out.status.success(), "`figures {args:?}` must fail");
+        assert_eq!(out.status.code(), Some(2), "`figures {args:?}`: {out:?}");
         assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+        if args[0] == "nosuch" {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("unknown experiment id `nosuch`"),
+                "{stderr}"
+            );
+            assert!(!metrics.exists(), "`figures {args:?}` wrote {path}");
+        }
     }
 }
 

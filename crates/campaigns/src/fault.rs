@@ -14,8 +14,7 @@ use seculator_compute::quant::{QTensor3, QTensor4};
 use seculator_core::secure_infer::Instruments;
 use seculator_core::{
     infer_journaled, infer_plain, splitmix, DurableState, FaultInjector, FaultKind, FaultSpec,
-    IncidentLog, JournaledError, PadTracker, Persistence, QConvLayer, RecoveryCost, RecoveryPolicy,
-    SecureSession,
+    IncidentLog, JournaledError, PadTracker, Persistence, QConvLayer, RecoveryCost, SecureSession,
 };
 use seculator_crypto::keys::DeviceSecret;
 
@@ -280,7 +279,6 @@ pub fn run_fault_campaign(seed: u64, faults: u32, clean_trials: u32) -> FaultCam
             secret,
             nonce,
             shift: CAMPAIGN_SHIFT,
-            policy: RecoveryPolicy::default(),
         };
         let outcome = infer_journaled(
             &layers,

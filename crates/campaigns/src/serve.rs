@@ -25,8 +25,7 @@ use seculator_core::telemetry::LayerRow;
 use seculator_core::{
     campaign_models, infer_plain, splitmix, tenant_identity, AdmitSpec, BlockCoords, CampaignModel,
     FaultInjector, FaultKind, FaultSpec, JournaledError, LadderSummary, PadLedger, Persistence,
-    QConvLayer, RecoveryPolicy, RobustnessPolicy, SecureSession, SessionManager, SessionOutcome,
-    SessionVerdict,
+    QConvLayer, SecureSession, SessionManager, SessionOutcome, SessionVerdict,
 };
 use seculator_crypto::keys::DeviceSecret;
 
@@ -75,7 +74,6 @@ impl Fleet {
             self.root,
             self.base_nonce,
             self.models[0].session.shift,
-            RecoveryPolicy::default(),
             self.max_inflight,
         )
     }
@@ -531,7 +529,7 @@ pub fn run_chaos_campaign(seed: u64, sessions: u32) -> ChaosCampaignReport {
     let steps: Vec<u64> = fleet.models.iter().map(|m| calibrate(m).1).collect();
 
     let mut mgr = fleet.manager();
-    mgr.harden(RobustnessPolicy::hardened(), backoff_seed);
+    mgr.harden(backoff_seed);
 
     // Seeded choice of k < N chaos victims.
     let k = (sessions / 2) as usize;

@@ -249,7 +249,7 @@ pub enum RecoveryAction {
     /// one committed record.
     Rollback,
     /// The multi-tenant scheduler sealed the session fail-closed: its
-    /// retry ceiling, deadline budget, or stuck-session watchdog fired.
+    /// retry ceiling or deadline budget fired, or its client cancelled.
     /// The journal is kept for audit but the session is never resumed
     /// and its pads are never reissued.
     Quarantine,

@@ -122,14 +122,6 @@ pub enum SecurityError {
         /// Session retries consumed.
         retries: u32,
     },
-    /// The stuck-session watchdog fired: a promoted tenant went too many
-    /// scheduler rounds without committing a layer and was quarantined.
-    SessionStalled {
-        /// Quarantined tenant id.
-        tenant: u32,
-        /// Rounds since the tenant's last layer commit.
-        stalled_rounds: u64,
-    },
     /// A durable on-disk file violated its CRC'd framing: a complete
     /// frame whose checksum does not match, a bad file magic, or a
     /// malformed length prefix. This is the *accidental-corruption*
@@ -265,14 +257,6 @@ impl std::fmt::Display for SecurityError {
                 "tenant {tenant} exhausted its session-retry ceiling \
                  after {retries} retries; session quarantined"
             ),
-            Self::SessionStalled {
-                tenant,
-                stalled_rounds,
-            } => write!(
-                f,
-                "tenant {tenant} made no progress for {stalled_rounds} rounds; \
-                 watchdog quarantined the session"
-            ),
             Self::DurableIo { tenant } => write!(
                 f,
                 "tenant {tenant}'s durable home failed an i/o operation; \
@@ -335,11 +319,6 @@ mod tests {
         assert!(!SecurityError::RetryCeilingExhausted {
             tenant: 3,
             retries: 2
-        }
-        .is_breach());
-        assert!(!SecurityError::SessionStalled {
-            tenant: 3,
-            stalled_rounds: 64
         }
         .is_breach());
         assert!(!SecurityError::SessionCancelled { tenant: 3 }.is_breach());

@@ -43,7 +43,7 @@
 
 use crate::error::SecurityError;
 use crate::fault::{CrashClock, CrashPhase, PowerLoss};
-use crate::secure_infer::{QConvLayer, RecoveryPolicy, SecureSession};
+use crate::secure_infer::{QConvLayer, SecureSession};
 use crate::secure_memory::{BlockCoords, UntrustedDram};
 use crate::telemetry;
 use seculator_compute::quant::{QTensor3, QTensor4};
@@ -563,7 +563,7 @@ pub struct CampaignModel {
     pub layers: Vec<QConvLayer>,
     /// Seeded input activations.
     pub input: QTensor3,
-    /// Fixed per-model session (secret seed, nonce, shift, policy).
+    /// Fixed per-model session (secret seed, nonce, shift).
     pub session: SecureSession,
 }
 
@@ -572,7 +572,6 @@ fn session(seed: u64, nonce: u64) -> SecureSession {
         secret: DeviceSecret::from_seed(seed),
         nonce,
         shift: CAMPAIGN_SHIFT,
-        policy: RecoveryPolicy::default(),
     }
 }
 

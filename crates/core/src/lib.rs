@@ -60,10 +60,9 @@ pub use mac_verify::{EagerLayerVerifier, LayerMacVerifier, ReadOnlyVerifier, Ver
 pub use mea::{evaluate_defense, infer_layer_dims, AddressTraceObserver, MeaReport};
 pub use noise::{observe_network_with_noise, observe_with_noise, NoiseConfig, NoisyObservation};
 pub use npu::TimingNpu;
-pub use retry::{RetryPolicy, RobustnessPolicy, SheddingPolicy};
 pub use secure_infer::{
     infer_journaled, infer_plain, infer_resume, AbortReport, Instruments, JournaledError,
-    JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
+    JournaledRun, QConvLayer, SecureSession,
 };
 pub use secure_memory::{BlockCoords, CryptoDatapath, DatapathMode, UntrustedDram};
 pub use session::{

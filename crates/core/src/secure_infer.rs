@@ -22,6 +22,7 @@ use crate::error::SecurityError;
 use crate::fault::{AccessCtx, CrashClock, CrashPhase, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker};
 use crate::mac_verify::EagerLayerVerifier;
+use crate::retry::{MAX_REEXECUTIONS, MAX_REFETCHES};
 use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, UntrustedDram};
 use crate::telemetry::{self, LayerRow};
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QAccum3, QTensor3, QTensor4};
@@ -123,7 +124,7 @@ fn requantize_shift(t: &QAccum3, shift: u32) -> QTensor3 {
 /// ```
 /// use seculator_core::journal::{DurableState, PadTracker};
 /// use seculator_core::secure_infer::{
-///     infer_journaled, infer_plain, Instruments, QConvLayer, RecoveryPolicy, SecureSession,
+///     infer_journaled, infer_plain, Instruments, QConvLayer, SecureSession,
 /// };
 /// use seculator_compute::quant::{QTensor3, QTensor4};
 /// use seculator_crypto::DeviceSecret;
@@ -135,7 +136,6 @@ fn requantize_shift(t: &QAccum3, shift: u32) -> QTensor3 {
 ///     secret: DeviceSecret::from_seed(3),
 ///     nonce: 1,
 ///     shift: 6,
-///     policy: RecoveryPolicy::default(),
 /// };
 /// let secured = infer_journaled(
 ///     &layers,
@@ -164,11 +164,6 @@ pub fn infer_plain(layers: &[QConvLayer], input: &QTensor3, shift: u32) -> QTens
 // ---------------------------------------------------------------------------
 // Detect-and-recover inference
 // ---------------------------------------------------------------------------
-
-/// The ladder's attempt bounds now live in [`crate::retry`] — the single
-/// home of every retry constant — and are re-exported here so existing
-/// `secure_infer::RecoveryPolicy` paths keep working.
-pub use crate::retry::RecoveryPolicy;
 
 /// A gracefully-aborted journaled inference: recovery was exhausted, no
 /// output was released, and the full audit record explains why.
@@ -231,8 +226,8 @@ fn load_via(
 // ---------------------------------------------------------------------------
 
 /// Everything that identifies one secure execution: the device secret,
-/// the per-execution nonce, the requantization shift, and the recovery
-/// policy. Bundled so the journaled drivers stay call-site friendly.
+/// the per-execution nonce, and the requantization shift. Bundled so the
+/// journaled drivers stay call-site friendly.
 #[derive(Debug, Clone, Copy)]
 pub struct SecureSession {
     /// Burned-in device secret.
@@ -241,8 +236,6 @@ pub struct SecureSession {
     pub nonce: u64,
     /// Requantization right-shift.
     pub shift: u32,
-    /// Recovery-ladder bounds.
-    pub policy: RecoveryPolicy,
 }
 
 /// Harness instrumentation threaded through a journaled run: the pad
@@ -463,10 +456,10 @@ pub(crate) fn open_journaled_cursor(
 /// `MAC_W = MAC_FR ⊕ MAC_R` before the data feeds the next layer. A
 /// detected breach climbs the recovery ladder:
 ///
-/// 1. **Re-fetch** (up to [`RecoveryPolicy::max_refetches`] per attempt):
+/// 1. **Re-fetch** (up to [`MAX_REFETCHES`] per attempt):
 ///    re-stream the tensor and re-check. Recovers transient read
 ///    corruption.
-/// 2. **Re-execute** (up to [`RecoveryPolicy::max_reexecutions`]): redo
+/// 2. **Re-execute** (up to [`MAX_REEXECUTIONS`]): redo
 ///    the layer from its verified input under a fresh VN base and fresh
 ///    MAC registers. Recovers persistent corruption of stored state.
 /// 3. **Abort**: return an [`AbortReport`] carrying
@@ -691,7 +684,7 @@ pub(crate) fn step_journaled_layer(
             if lv.check().is_verified() {
                 break Some(rd);
             }
-            if refetches_this_attempt < session.policy.max_refetches {
+            if refetches_this_attempt < MAX_REFETCHES {
                 refetches_this_attempt += 1;
                 layer_refetches += 1;
                 cursor.incidents.push(IncidentRecord {
@@ -756,7 +749,7 @@ pub(crate) fn step_journaled_layer(
                 cursor.next_layer = li + 1;
                 return Ok(());
             }
-            None if attempt < session.policy.max_reexecutions => {
+            None if attempt < MAX_REEXECUTIONS => {
                 cursor.incidents.push(IncidentRecord {
                     layer_id: li,
                     attempt,
@@ -1090,7 +1083,6 @@ mod tests {
             secret: DeviceSecret::from_seed(12),
             nonce: 3,
             shift: 5,
-            policy: RecoveryPolicy::default(),
         };
         let run = journaled(&layers, &x, &session, None).unwrap();
         assert_eq!(run.output, infer_plain(&layers, &x, 5));
@@ -1119,7 +1111,6 @@ mod tests {
             secret: DeviceSecret::from_seed(8),
             nonce,
             shift: 6,
-            policy: RecoveryPolicy::default(),
         };
         let a = journaled(&layers, &input(), &session(10), None).unwrap();
         let b = journaled(&layers, &input(), &session(11), None).unwrap();
@@ -1136,7 +1127,6 @@ mod tests {
             secret: DeviceSecret::from_seed(55),
             nonce: 777,
             shift: 6,
-            policy: RecoveryPolicy::default(),
         }
     }
 

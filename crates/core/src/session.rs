@@ -31,23 +31,26 @@
 //! epoch, counter)` triple — is ever issued twice across any pair of
 //! sessions.
 //!
-//! On top of the classic scheduler sits an opt-in **fleet robustness
-//! layer** ([`SessionManager::harden`], configured by a
-//! [`RobustnessPolicy`] from [`crate::retry`]):
+//! One switch, [`SessionManager::harden`], turns the classic scheduler
+//! into the **hardened** one; its bounds are the constants in
+//! [`crate::retry`]:
 //!
 //! - **Session retries with backoff**: a failed attempt (recovery ladder
 //!   exhausted, or a power cut) parks the tenant in a backoff state and
 //!   later re-admits it *from its own journal* under a fresh nonce epoch
 //!   — the same resume path `infer_resume` uses — at most
-//!   `max_session_retries` times.
-//! - **Quarantine (fail-closed)**: a tenant that trips the retry
-//!   ceiling, exceeds its per-tenant deadline budget
-//!   ([`AdmitSpec::deadline_rounds`]), or stalls past the watchdog is
-//!   sealed: journal kept for audit, pads never reissued, no output
-//!   released — while healthy tenants keep committing layers.
+//!   [`MAX_SESSION_RETRIES`] times.
 //! - **Load shedding**: sustained fault pressure lowers the *effective*
 //!   `max_inflight` one slot at a time (never below a floor) and clean
 //!   rounds restore it, so the fleet degrades instead of collapsing.
+//!
+//! In either configuration, **quarantine** seals a tenant fail-closed —
+//! journal kept for audit, pads never reissued, no output released —
+//! while healthy tenants keep committing layers. Three causes seal one:
+//! the retry ceiling (hardened only), the tenant's deadline budget
+//! ([`AdmitSpec::deadline_rounds`]), and a client cancel. The retry
+//! ceiling alone bounds how long a hardened tenant can hold a slot
+//! without committing a layer (DESIGN §13), so no watchdog is needed.
 //!
 //! The serve and chaos campaigns that drive all of this from a seed live
 //! in the `seculator-campaigns` crate.
@@ -62,10 +65,13 @@ use crate::durable::{DurableError, DurableHome, PersistentStats, StdVfs};
 use crate::error::SecurityError;
 use crate::fault::{splitmix, CrashClock, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, PadTracker};
-use crate::retry::{RobustnessPolicy, SheddingPolicy};
+use crate::retry::{
+    backoff_rounds, MAX_SESSION_RETRIES, MIN_INFLIGHT, RESTORE_AFTER_CLEAN_ROUNDS,
+    SHED_AFTER_FAULTY_ROUNDS,
+};
 use crate::secure_infer::{
     open_journaled_cursor, open_resume_cursor, step_journaled_layer, Instruments, JournaledCursor,
-    JournaledError, JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
+    JournaledError, JournaledRun, QConvLayer, SecureSession,
 };
 use crate::secure_memory::BlockCoords;
 use crate::telemetry::{self, Counter, LayerRow};
@@ -124,7 +130,7 @@ pub struct QuarantineReport {
     /// The availability verdict that sealed the session (one of
     /// [`SecurityError::RetryCeilingExhausted`],
     /// [`SecurityError::DeadlineExceeded`],
-    /// [`SecurityError::SessionStalled`]).
+    /// [`SecurityError::SessionCancelled`]).
     pub cause: SecurityError,
     /// Session retries consumed before the seal.
     pub retries: u32,
@@ -153,13 +159,8 @@ enum TenantState {
         /// The crash that ended the attempt, when it was a power cut.
         loss: Option<PowerLoss>,
     },
-    /// Every layer committed and verified.
-    Completed(Box<JournaledRun>),
-    /// Fail-closed terminal state (tamper/crash verdict).
-    Aborted(Box<JournaledError>),
-    /// Sealed by the robustness layer: journal kept for audit, pads
-    /// never reissued, no output released.
-    Quarantined(Box<QuarantineReport>),
+    /// Terminal: completed, aborted or quarantined.
+    Done(SessionVerdict),
 }
 
 #[derive(Debug)]
@@ -177,6 +178,9 @@ struct Tenant {
     started_round: u64,
     rounds_serviced: u64,
     commits: u32,
+    /// Layer commits journaled across every attempt — what
+    /// [`SessionManager::progress_of`] reports.
+    journaled: u32,
     started_at: Option<Instant>,
     latency_ns: u64,
     /// Per-tenant deadline budget from the admission spec.
@@ -190,12 +194,11 @@ struct Tenant {
     retries: u32,
     /// Per-tenant splitmix stream for backoff jitter.
     backoff_rng: u64,
-    /// Audit records salvaged from failed attempts, merged ahead of the
-    /// terminal attempt's records at report time. Every record already
-    /// went through the `IncidentLog::push` telemetry funnel once.
+    /// Audit records salvaged from failed attempts and the quarantine
+    /// seal; they leave as [`SessionOutcome::salvaged`]. Every record
+    /// already went through the `IncidentLog::push` telemetry funnel
+    /// once.
     incidents: IncidentLog,
-    /// Last round this tenant was promoted or committed a layer.
-    last_progress_round: u64,
     /// The deadline budget was exceeded at least once.
     deadline_missed: bool,
     /// Sum of the stage-time rows of every layer step this tenant took
@@ -240,10 +243,7 @@ fn home_error(tenant: u32, e: DurableError) -> JournaledError {
 
 impl Tenant {
     fn is_terminal(&self) -> bool {
-        matches!(
-            self.state,
-            TenantState::Completed(_) | TenantState::Aborted(_) | TenantState::Quarantined(_)
-        )
+        matches!(self.state, TenantState::Done(_))
     }
 
     /// Running and backed-off sessions both hold an admission slot —
@@ -263,8 +263,8 @@ pub enum SessionVerdict {
     Completed(Box<JournaledRun>),
     /// Fail-closed abort; no output was released.
     Aborted(Box<JournaledError>),
-    /// Sealed by the robustness layer (retry ceiling, deadline budget,
-    /// or watchdog); no output was released.
+    /// Sealed fail-closed (retry ceiling, deadline budget, or client
+    /// cancel); no output was released.
     Quarantined(Box<QuarantineReport>),
 }
 
@@ -298,6 +298,14 @@ pub struct SessionOutcome {
     pub deadline_missed: bool,
     /// How the session ended.
     pub verdict: SessionVerdict,
+    /// Audit records of the failed attempts before the terminal one and
+    /// of the quarantine seal, in order. The terminal attempt's own
+    /// records travel inside the verdict.
+    pub salvaged: IncidentLog,
+    /// Sum of the stage-time rows of every layer step this tenant took,
+    /// failed attempts included, with the `layer` field carrying the
+    /// tenant id; all zero when the `telemetry` feature is off.
+    pub row: LayerRow,
 }
 
 impl SessionOutcome {
@@ -395,7 +403,7 @@ pub struct ServeReport {
     pub rounds: u64,
     /// Per-tenant outcomes, in admission order.
     pub outcomes: Vec<SessionOutcome>,
-    /// Distinct pads in the cross-session ledger.
+    /// Distinct pads in the manager's cross-session ledger.
     pub pads_issued: u64,
     /// Cross-session pad collisions (must be 0).
     pub pad_collisions: u64,
@@ -409,15 +417,12 @@ pub struct ServeReport {
     /// Per-tenant deadline budgets exceeded.
     pub deadline_misses: u64,
     /// Tenants sealed fail-closed by the retry ceiling, a deadline
-    /// budget, or the stuck-session watchdog.
+    /// budget, or a client cancel.
     pub sessions_quarantined: u64,
     /// Admission slots shed under sustained fault pressure.
     pub inflight_shed: u64,
-    /// Per-session stage-time rows, one per tenant in admission order —
-    /// [`LayerRow`] reused with the `layer` field carrying the *tenant
-    /// id*. Each is the exact sum of the rows of every layer step the
-    /// tenant took, failed attempts included; all zero when the
-    /// `telemetry` feature is off.
+    /// Per-session stage-time rows, one per tenant in admission order:
+    /// each outcome's [`SessionOutcome::row`].
     pub session_rows: Vec<LayerRow>,
     /// Exact wall nanoseconds of pre-step scheduler bookkeeping summed
     /// over every round (arrivals, sweeps, wakes, admission) — tenant
@@ -442,11 +447,11 @@ pub struct SessionManager {
     root: DeviceSecret,
     base_nonce: u64,
     shift: u32,
-    policy: RecoveryPolicy,
     max_inflight: usize,
     tenants: Vec<Tenant>,
     round: u64,
-    robustness: RobustnessPolicy,
+    /// Set by [`Self::harden`]: session retries and load shedding on.
+    hardened: bool,
     backoff_seed: u64,
     stats: RobustStats,
     /// The degraded admission cap (== `max_inflight` until shedding).
@@ -455,11 +460,10 @@ pub struct SessionManager {
     pressure: u32,
     /// Clean rounds accumulated toward the next restore.
     clean_rounds: u64,
-    /// Manager-lifetime pad ledger for the incremental drive mode:
-    /// [`Self::harvest_terminal`] absorbs every harvested session's pads
-    /// here, so the zero-collision oracle spans every request a
-    /// long-lived manager (the daemon) ever served — across tenants,
-    /// repeat submissions, and re-admissions alike.
+    /// Manager-lifetime pad ledger: [`Self::harvest_terminal`] absorbs
+    /// every harvested session's pads here, so the zero-collision oracle
+    /// spans every request a long-lived manager (the daemon) ever served
+    /// — across tenants, repeat submissions, and re-admissions alike.
     lifetime_ledger: PadLedger,
     /// Exact scheduler-overhead accumulator: wall nanoseconds spent per
     /// round on arrivals, budget sweeps, backoff wakes, and admission —
@@ -481,27 +485,20 @@ struct RobustStats {
 }
 
 impl SessionManager {
-    /// Creates a manager. `root`/`base_nonce` seed the per-tenant key
-    /// derivation; `shift`/`policy` apply to every admitted session;
-    /// `max_inflight` caps concurrently-running sessions (backpressure —
-    /// clamped to ≥ 1).
+    /// Creates a classic manager. `root`/`base_nonce` seed the
+    /// per-tenant key derivation; `shift` applies to every admitted
+    /// session; `max_inflight` caps concurrently-running sessions
+    /// (backpressure — clamped to ≥ 1).
     #[must_use]
-    pub fn new(
-        root: DeviceSecret,
-        base_nonce: u64,
-        shift: u32,
-        policy: RecoveryPolicy,
-        max_inflight: usize,
-    ) -> Self {
+    pub fn new(root: DeviceSecret, base_nonce: u64, shift: u32, max_inflight: usize) -> Self {
         Self {
             root,
             base_nonce,
             shift,
-            policy,
             max_inflight: max_inflight.max(1),
             tenants: Vec::new(),
             round: 0,
-            robustness: RobustnessPolicy::classic(),
+            hardened: false,
             backoff_seed: base_nonce ^ 0xB0FF_5EED,
             stats: RobustStats::default(),
             effective_inflight: max_inflight.max(1),
@@ -512,20 +509,15 @@ impl SessionManager {
         }
     }
 
-    /// Installs a fleet robustness policy (session retries, watchdog,
-    /// load shedding) and re-seeds every tenant's backoff-jitter stream
-    /// from `backoff_seed`. [`RobustnessPolicy::classic`] — the
-    /// constructor default — is bit-identical to the pre-robustness
-    /// scheduler. The retry policy's ladder also becomes the recovery
-    /// policy of every *subsequently derived* session, keeping the
-    /// ladder bounds in one place.
-    pub fn harden(&mut self, policy: RobustnessPolicy, backoff_seed: u64) {
-        self.robustness = policy;
+    /// Switches this manager to the hardened configuration — session
+    /// retries with backoff and load shedding, bounded by the constants
+    /// in [`crate::retry`] — and re-seeds every tenant's backoff-jitter
+    /// stream from `backoff_seed`.
+    pub fn harden(&mut self, backoff_seed: u64) {
+        self.hardened = true;
         self.backoff_seed = backoff_seed;
-        self.policy = policy.retry.ladder;
         for t in &mut self.tenants {
             t.backoff_rng = Self::backoff_stream(backoff_seed, t.id);
-            t.session.policy = policy.retry.ladder;
         }
     }
 
@@ -562,7 +554,6 @@ impl SessionManager {
             secret,
             nonce,
             shift: self.shift,
-            policy: self.policy,
         }
     }
 
@@ -594,6 +585,7 @@ impl SessionManager {
             started_round: 0,
             rounds_serviced: 0,
             commits: 0,
+            journaled: 0,
             started_at: None,
             latency_ns: 0,
             deadline_rounds: spec.deadline_rounds,
@@ -602,7 +594,6 @@ impl SessionManager {
             retries: 0,
             backoff_rng: Self::backoff_stream(self.backoff_seed, spec.tenant),
             incidents: IncidentLog::new(),
-            last_progress_round: 0,
             deadline_missed: false,
             row: LayerRow {
                 layer: u64::from(spec.tenant),
@@ -625,25 +616,66 @@ impl SessionManager {
         self.tenants.len()
     }
 
-    /// Drives every admitted session to a terminal state and reports.
+    /// Drives every admitted session to a terminal state through
+    /// [`Self::step_round`], harvests them all through
+    /// [`Self::harvest_terminal`], and reports. Pads and collisions come
+    /// from the manager-lifetime ledger.
     pub fn run(&mut self) -> ServeReport {
-        while self.service_round() {}
-        self.report()
+        while self.step_round() {}
+        let outcomes = self.harvest_terminal();
+        let mut incidents = IncidentLog::new();
+        let mut max_blocks = 0u64;
+        for o in &outcomes {
+            // Cross-attempt salvage first (failed attempts + the
+            // quarantine seal), then the terminal attempt's records.
+            // Merge without re-counting: every record already went
+            // through the `IncidentLog::push` telemetry funnel once.
+            incidents.records.extend_from_slice(&o.salvaged.records);
+            let terminal = match &o.verdict {
+                SessionVerdict::Completed(run) => Some((&run.incidents, run.max_layer_blocks)),
+                SessionVerdict::Aborted(err) => match err.as_ref() {
+                    JournaledError::Aborted(report) => {
+                        Some((&report.incidents, report.max_layer_blocks))
+                    }
+                    JournaledError::Crashed(_) | JournaledError::Security(_) => None,
+                },
+                SessionVerdict::Quarantined(_) => None,
+            };
+            if let Some((log, blocks)) = terminal {
+                incidents.records.extend_from_slice(&log.records);
+                max_blocks = max_blocks.max(blocks);
+            }
+        }
+        ServeReport {
+            rounds: self.round,
+            session_rows: outcomes.iter().map(|o| o.row).collect(),
+            outcomes,
+            pads_issued: self.pads_issued(),
+            pad_collisions: self.pad_collisions(),
+            incidents,
+            max_blocks,
+            session_retries: self.stats.session_retries,
+            deadline_misses: self.stats.deadline_misses,
+            sessions_quarantined: self.stats.sessions_quarantined,
+            inflight_shed: self.stats.inflight_shed,
+            scheduler_ns: self.scheduler_ns,
+        }
     }
 
-    /// One scheduler round: release arrivals, enforce deadline budgets
-    /// and the watchdog, wake expired backoffs (journal re-admission),
-    /// fill free slots from the queue (admission order, under the
-    /// possibly degraded cap), then grant every running session exactly
-    /// one layer step, in fixed tenant order — round-robin fairness.
-    /// Returns `false` once every tenant is terminal.
-    fn service_round(&mut self) -> bool {
+    /// One scheduler round (the daemon's clock tick): release arrivals,
+    /// enforce deadline budgets, wake expired backoffs (journal
+    /// re-admission), fill free slots from the queue (admission order,
+    /// under the possibly degraded cap), then grant every running
+    /// session exactly one layer step, in fixed tenant order —
+    /// round-robin fairness. Returns `false` once every tenant is
+    /// terminal, i.e. there is nothing to do until the next admission.
+    pub fn step_round(&mut self) -> bool {
         if self.tenants.iter().all(Tenant::is_terminal) {
             return false;
         }
         self.round += 1;
         let round = self.round;
-        let policy = self.robustness;
+        let hardened = self.hardened;
         let mut faulty = false;
 
         // Scheduler-overhead accounting: everything from here to the
@@ -662,16 +694,15 @@ impl SessionManager {
             }
         }
 
-        // Robustness sweep: deadline budgets, then the stuck-session
-        // watchdog. Both no-ops under the classic policy.
+        // Deadline budgets of the tenants that hold a slot.
         for t in &mut self.tenants {
-            Self::sweep_budgets(t, &policy, &mut self.stats, round);
+            Self::sweep_deadline(t, &mut self.stats, round);
         }
 
         // Backoff wake: re-admit parked tenants from their journals
         // under a fresh nonce epoch (the `infer_resume` path).
         for t in &mut self.tenants {
-            Self::wake_backoff(t, &policy, &mut self.stats, round, &mut faulty);
+            Self::wake_backoff(t, hardened, &mut self.stats, round, &mut faulty);
         }
 
         // Admission under backpressure: promote queued tenants while
@@ -682,7 +713,7 @@ impl SessionManager {
                 break;
             }
             if matches!(t.state, TenantState::Queued) {
-                Self::promote(t, &policy, &mut self.stats, round, &mut faulty);
+                Self::promote(t, hardened, &mut self.stats, round, &mut faulty);
                 if t.holds_slot() {
                     inflight += 1;
                 }
@@ -696,50 +727,34 @@ impl SessionManager {
         // Service: one layer step per running session per round, in
         // fixed tenant order on the calling thread.
         for t in &mut self.tenants {
-            Self::step_tenant(t, &policy, &mut self.stats, round, &mut faulty);
+            Self::step_tenant(t, hardened, &mut self.stats, round, &mut faulty);
         }
 
-        if let Some(shed) = policy.shedding {
-            self.update_shedding(shed, faulty);
+        if hardened {
+            self.update_shedding(faulty);
         }
         true
     }
 
-    /// Deadline budget and watchdog checks for one promoted tenant —
-    /// either trip quarantines fail-closed.
-    fn sweep_budgets(
-        t: &mut Tenant,
-        policy: &RobustnessPolicy,
-        stats: &mut RobustStats,
-        round: u64,
-    ) {
+    /// Quarantines a tenant that holds a slot past its deadline budget.
+    fn sweep_deadline(t: &mut Tenant, stats: &mut RobustStats, round: u64) {
         if !t.holds_slot() {
             return;
         }
-        if let Some(budget) = t.deadline_rounds {
-            let used = round.saturating_sub(t.started_round);
-            if used > budget {
-                telemetry::incr(Counter::DeadlineMisses);
-                stats.deadline_misses += 1;
-                t.deadline_missed = true;
-                let cause = SecurityError::DeadlineExceeded {
-                    tenant: t.id,
-                    budget_rounds: budget,
-                    used_rounds: used,
-                };
-                Self::quarantine(t, cause, round, stats);
-                return;
-            }
-        }
-        if let Some(limit) = policy.watchdog_rounds {
-            let stalled = round.saturating_sub(t.last_progress_round);
-            if stalled > limit {
-                let cause = SecurityError::SessionStalled {
-                    tenant: t.id,
-                    stalled_rounds: stalled,
-                };
-                Self::quarantine(t, cause, round, stats);
-            }
+        let Some(budget) = t.deadline_rounds else {
+            return;
+        };
+        let used = round.saturating_sub(t.started_round);
+        if used > budget {
+            telemetry::incr(Counter::DeadlineMisses);
+            stats.deadline_misses += 1;
+            t.deadline_missed = true;
+            let cause = SecurityError::DeadlineExceeded {
+                tenant: t.id,
+                budget_rounds: budget,
+                used_rounds: used,
+            };
+            Self::quarantine(t, cause, round, stats);
         }
     }
 
@@ -750,7 +765,7 @@ impl SessionManager {
     /// parked, so there is no disk to sync.
     fn wake_backoff(
         t: &mut Tenant,
-        policy: &RobustnessPolicy,
+        hardened: bool,
         stats: &mut RobustStats,
         round: u64,
         faulty: &mut bool,
@@ -776,7 +791,7 @@ impl SessionManager {
             Err(e) => {
                 *faulty = true;
                 let commits = t.commits;
-                Self::handle_failure(t, e, commits, round, policy, stats);
+                Self::handle_failure(t, e, commits, round, hardened, stats);
             }
         }
     }
@@ -791,7 +806,7 @@ impl SessionManager {
     /// write-ahead + repair on its private journal namespace).
     fn promote(
         t: &mut Tenant,
-        policy: &RobustnessPolicy,
+        hardened: bool,
         stats: &mut RobustStats,
         round: u64,
         faulty: &mut bool,
@@ -802,7 +817,6 @@ impl SessionManager {
         t.queue_ns = t.arrived_at.map_or(0, |a| {
             u64::try_from(a.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
-        t.last_progress_round = round;
         Self::arm_next_cut(t);
         let result = if t.home.is_some() {
             Self::open_home_cursor(t)
@@ -816,7 +830,7 @@ impl SessionManager {
                 if !matches!(e, JournaledError::Security(_)) {
                     *faulty = true;
                 }
-                Self::handle_failure(t, e, 0, round, policy, stats);
+                Self::handle_failure(t, e, 0, round, hardened, stats);
             }
         }
     }
@@ -886,7 +900,7 @@ impl SessionManager {
     /// or failed.
     fn step_tenant(
         t: &mut Tenant,
-        policy: &RobustnessPolicy,
+        hardened: bool,
         stats: &mut RobustStats,
         round: u64,
         faulty: &mut bool,
@@ -899,6 +913,7 @@ impl SessionManager {
             }
         };
         let rows_before = cursor.layer_rows().len();
+        let commits_before = cursor.commits();
         let result = {
             let mut instruments = Instruments {
                 tracker: &mut t.tracker,
@@ -916,6 +931,7 @@ impl SessionManager {
         for r in &cursor.layer_rows()[rows_before..] {
             t.row.add_stages(r);
         }
+        t.journaled += cursor.commits() - commits_before;
         t.rounds_serviced += 1;
         match result {
             Ok(()) => {
@@ -925,7 +941,7 @@ impl SessionManager {
                 if let Err(e) = Self::checkpoint_home(t, &cursor) {
                     *faulty = true;
                     let commits = cursor.commits();
-                    Self::handle_failure(t, e, commits, round, policy, stats);
+                    Self::handle_failure(t, e, commits, round, hardened, stats);
                     return;
                 }
                 if cursor.done(&t.layers) {
@@ -934,9 +950,9 @@ impl SessionManager {
                         u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
                     });
                     telemetry::incr(Counter::SessionsCompleted);
-                    t.state = TenantState::Completed(Box::new(cursor.finish()));
+                    t.state =
+                        TenantState::Done(SessionVerdict::Completed(Box::new(cursor.finish())));
                 } else {
-                    t.last_progress_round = round;
                     t.state = TenantState::Running(cursor);
                 }
             }
@@ -949,41 +965,41 @@ impl SessionManager {
                     t.incidents.records.extend(cursor.take_incidents().records);
                 }
                 let commits = cursor.commits();
-                Self::handle_failure(t, e, commits, round, policy, stats);
+                Self::handle_failure(t, e, commits, round, hardened, stats);
             }
         }
     }
 
     /// Classifies one failed attempt: security verdicts abort
     /// immediately (a tampered journal or counter reuse is never
-    /// retried); ladder exhaustions and power cuts are retryable — the
-    /// tenant parks in backoff until its retry ceiling quarantines it.
-    /// Under the classic policy (zero session retries) every failure
-    /// aborts, bit-identical to the pre-robustness scheduler.
+    /// retried); under a hardened manager, ladder exhaustions and power
+    /// cuts are retryable — the tenant parks in backoff until
+    /// [`MAX_SESSION_RETRIES`] quarantines it. A classic manager aborts
+    /// on every failure.
     fn handle_failure(
         t: &mut Tenant,
         error: JournaledError,
         commits: u32,
         round: u64,
-        policy: &RobustnessPolicy,
+        hardened: bool,
         stats: &mut RobustStats,
     ) {
         // A durable home is single-use after any error: drop the opened
         // handle so its on-disk state (always consistent) is only ever
         // touched again by a fresh open. A *retried* attempt therefore
-        // continues in RAM — under the daemon's classic policy failures
-        // abort instead, and the journal on disk stays resumable by the
-        // next admission of this tenant.
+        // continues in RAM — a classic manager (the daemon's) aborts
+        // instead, and the journal on disk stays resumable by the next
+        // admission of this tenant.
         if let Some(h) = t.home.as_mut() {
             h.home = None;
         }
         let retryable = !matches!(error, JournaledError::Security(_));
-        if !retryable || policy.retry.max_session_retries == 0 {
+        if !retryable || !hardened {
             Self::abort(t, error, commits);
             return;
         }
         t.commits = commits;
-        if t.retries >= policy.retry.max_session_retries {
+        if t.retries >= MAX_SESSION_RETRIES {
             if let JournaledError::Aborted(report) = error {
                 t.incidents.records.extend(report.incidents.records);
             }
@@ -1005,7 +1021,7 @@ impl SessionManager {
         };
         telemetry::incr(Counter::SessionRetries);
         stats.session_retries += 1;
-        let wait = policy.retry.backoff_rounds(t.retries, &mut t.backoff_rng);
+        let wait = backoff_rounds(t.retries, &mut t.backoff_rng);
         t.retries += 1;
         t.state = TenantState::Backoff {
             resume_at: round + wait,
@@ -1030,25 +1046,23 @@ impl SessionManager {
         });
         t.cut_queue.clear();
         t.clock = None;
-        t.state = TenantState::Quarantined(Box::new(QuarantineReport {
+        t.state = TenantState::Done(SessionVerdict::Quarantined(Box::new(QuarantineReport {
             tenant: t.id,
             cause,
             retries: t.retries,
             commits: t.commits,
             round,
-        }));
+        })));
     }
 
     /// Admission-control degradation: a faulty round (≥ 1 failed
     /// session step) builds pressure; enough pressure sheds one slot
     /// (never below the floor); a clean streak restores one.
-    fn update_shedding(&mut self, policy: SheddingPolicy, faulty: bool) {
+    fn update_shedding(&mut self, faulty: bool) {
         if faulty {
             self.clean_rounds = 0;
             self.pressure += 1;
-            if self.pressure >= policy.pressure_threshold.max(1)
-                && self.effective_inflight > policy.min_inflight.max(1)
-            {
+            if self.pressure >= SHED_AFTER_FAULTY_ROUNDS && self.effective_inflight > MIN_INFLIGHT {
                 self.effective_inflight -= 1;
                 self.pressure = 0;
                 self.stats.inflight_shed += 1;
@@ -1056,7 +1070,7 @@ impl SessionManager {
             }
         } else {
             self.clean_rounds += 1;
-            if self.clean_rounds >= policy.restore_after.max(1)
+            if self.clean_rounds >= RESTORE_AFTER_CLEAN_ROUNDS
                 && self.effective_inflight < self.max_inflight
             {
                 self.effective_inflight += 1;
@@ -1074,106 +1088,7 @@ impl SessionManager {
             u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
         telemetry::incr(Counter::SessionAborts);
-        t.state = TenantState::Aborted(Box::new(error));
-    }
-
-    /// Collapses one drained tenant into its outcome, folding its
-    /// incident records and max-blocks watermark into the caller's
-    /// accumulators. Shared by the batch [`Self::report`] and the
-    /// incremental [`Self::harvest_terminal`], so the two drive modes can
-    /// never disagree on verdict conversion.
-    fn collapse(t: Tenant, incidents: &mut IncidentLog, max_blocks: &mut u64) -> SessionOutcome {
-        // Cross-attempt salvage first (failed attempts + the
-        // quarantine seal), then the terminal attempt's records.
-        // Merge without re-counting: every record already went
-        // through the `IncidentLog::push` telemetry funnel once.
-        incidents.records.extend(t.incidents.records);
-        let verdict = match t.state {
-            TenantState::Completed(run) => {
-                *max_blocks = (*max_blocks).max(run.max_layer_blocks);
-                incidents
-                    .records
-                    .extend(run.incidents.records.iter().cloned());
-                SessionVerdict::Completed(run)
-            }
-            TenantState::Aborted(err) => {
-                if let JournaledError::Aborted(report) = err.as_ref() {
-                    incidents
-                        .records
-                        .extend(report.incidents.records.iter().cloned());
-                    *max_blocks = (*max_blocks).max(report.max_layer_blocks);
-                }
-                SessionVerdict::Aborted(err)
-            }
-            TenantState::Quarantined(report) => SessionVerdict::Quarantined(report),
-            // `run()` drains the scheduler, so non-terminal states
-            // cannot reach here; report them as aborted-by-shutdown
-            // rather than panicking in a security path.
-            TenantState::Waiting
-            | TenantState::Queued
-            | TenantState::Running(_)
-            | TenantState::Backoff { .. } => SessionVerdict::Aborted(Box::new(
-                JournaledError::Security(SecurityError::PowerInterrupted { layer_id: 0 }),
-            )),
-        };
-        SessionOutcome {
-            tenant: t.id,
-            name: t.name,
-            arrival_round: t.arrival_round,
-            started_round: t.started_round,
-            rounds_serviced: t.rounds_serviced,
-            commits: t.commits,
-            latency_ns: t.latency_ns,
-            queue_ns: t.queue_ns,
-            retries: t.retries,
-            deadline_missed: t.deadline_missed,
-            verdict,
-        }
-    }
-
-    /// Collapses terminal tenants into the report: outcomes, merged
-    /// incidents, per-session rows, and the cross-session pad ledger.
-    fn report(&mut self) -> ServeReport {
-        let mut ledger = PadLedger::new();
-        let mut incidents = IncidentLog::new();
-        let mut max_blocks = 0u64;
-        let mut outcomes = Vec::with_capacity(self.tenants.len());
-        let mut session_rows = Vec::with_capacity(self.tenants.len());
-        for t in self.tenants.drain(..) {
-            ledger.absorb(&t.session, &t.tracker);
-            session_rows.push(t.row);
-            outcomes.push(Self::collapse(t, &mut incidents, &mut max_blocks));
-        }
-        ServeReport {
-            rounds: self.round,
-            outcomes,
-            pads_issued: ledger.pads(),
-            pad_collisions: ledger.collisions(),
-            incidents,
-            max_blocks,
-            session_retries: self.stats.session_retries,
-            deadline_misses: self.stats.deadline_misses,
-            sessions_quarantined: self.stats.sessions_quarantined,
-            inflight_shed: self.stats.inflight_shed,
-            session_rows,
-            scheduler_ns: self.scheduler_ns,
-        }
-    }
-
-    // -- Incremental drive mode (the serving daemon) --------------------
-    //
-    // `run()`/`report()` assume a closed population: admit everything,
-    // drain to terminal, report once. A daemon's population is open —
-    // requests arrive and retire continuously — so it drives the same
-    // scheduler one round at a time and harvests terminal sessions as
-    // they finish, with the pad oracle accumulated across the manager's
-    // whole lifetime instead of one report.
-
-    /// Executes one scheduler round (the daemon's clock tick). Returns
-    /// `false` when every admitted tenant is terminal — i.e. there is
-    /// nothing to do until the next admission.
-    pub fn step_round(&mut self) -> bool {
-        self.service_round()
+        t.state = TenantState::Done(SessionVerdict::Aborted(Box::new(error)));
     }
 
     /// Scheduler rounds executed so far.
@@ -1188,18 +1103,16 @@ impl SessionManager {
         self.tenants.iter().filter(|t| !t.is_terminal()).count()
     }
 
-    /// Layer commits an admitted tenant has made so far (`None` =
-    /// unknown tenant). For a running tenant this reads the live
-    /// cursor; for everyone else, the last recorded count.
+    /// Layer commits an admitted tenant has journaled so far, summed
+    /// over every attempt (`None` = unknown tenant). It never decreases,
+    /// so a caller that polls it once per [`Self::step_round`] sees
+    /// every commit.
     #[must_use]
     pub fn progress_of(&self, tenant: u32) -> Option<u32> {
-        self.tenants.iter().find(|t| t.id == tenant).map(|t| {
-            if let TenantState::Running(c) = &t.state {
-                c.commits()
-            } else {
-                t.commits
-            }
-        })
+        self.tenants
+            .iter()
+            .find(|t| t.id == tenant)
+            .map(|t| t.journaled)
     }
 
     /// Client-requested session abort: seals the tenant fail-closed
@@ -1262,17 +1175,31 @@ impl SessionManager {
     /// [`Self::pads_issued`] / [`Self::pad_collisions`].
     pub fn harvest_terminal(&mut self) -> Vec<SessionOutcome> {
         let mut out = Vec::new();
-        let mut incidents = IncidentLog::new();
-        let mut max_blocks = 0u64;
-        let mut i = 0;
-        while i < self.tenants.len() {
-            if self.tenants[i].is_terminal() {
-                let t = self.tenants.remove(i);
-                self.lifetime_ledger.absorb(&t.session, &t.tracker);
-                out.push(Self::collapse(t, &mut incidents, &mut max_blocks));
-            } else {
-                i += 1;
-            }
+        if !self.tenants.iter().any(Tenant::is_terminal) {
+            return out;
+        }
+        let live = Vec::with_capacity(self.tenants.len());
+        for t in std::mem::replace(&mut self.tenants, live) {
+            let TenantState::Done(verdict) = t.state else {
+                self.tenants.push(t);
+                continue;
+            };
+            self.lifetime_ledger.absorb(&t.session, &t.tracker);
+            out.push(SessionOutcome {
+                tenant: t.id,
+                name: t.name,
+                arrival_round: t.arrival_round,
+                started_round: t.started_round,
+                rounds_serviced: t.rounds_serviced,
+                commits: t.commits,
+                latency_ns: t.latency_ns,
+                queue_ns: t.queue_ns,
+                retries: t.retries,
+                deadline_missed: t.deadline_missed,
+                verdict,
+                salvaged: t.incidents,
+                row: t.row,
+            });
         }
         out
     }
@@ -1329,7 +1256,6 @@ mod tests {
             DeviceSecret::from_seed(seed),
             seed ^ 0xA5A5,
             models[0].session.shift,
-            RecoveryPolicy::default(),
             max_inflight,
         );
         for t in 0..n {
@@ -1426,13 +1352,7 @@ mod tests {
         // counts must come out exactly equal.
         let models = campaign_models();
         let m = &models[0];
-        let mut mgr = SessionManager::new(
-            DeviceSecret::from_seed(79),
-            1,
-            m.session.shift,
-            RecoveryPolicy::default(),
-            8,
-        );
+        let mut mgr = SessionManager::new(DeviceSecret::from_seed(79), 1, m.session.shift, 8);
         for t in 0..3 {
             mgr.admit(AdmitSpec {
                 tenant: t,
@@ -1476,18 +1396,15 @@ mod tests {
 
     // -- robustness layer ---------------------------------------------------
 
-    use crate::retry::RetryPolicy;
-
     fn hardened_manager(seed: u64, max_inflight: usize) -> SessionManager {
         let models = campaign_models();
         let mut mgr = SessionManager::new(
             DeviceSecret::from_seed(seed),
             seed ^ 0x5A5A,
             models[0].session.shift,
-            RecoveryPolicy::default(),
             max_inflight,
         );
-        mgr.harden(RobustnessPolicy::hardened(), seed ^ 0xBAC0);
+        mgr.harden(seed ^ 0xBAC0);
         mgr
     }
 
@@ -1513,8 +1430,7 @@ mod tests {
         let report = mgr.run();
 
         assert_eq!(report.sessions_quarantined, 1);
-        let ceiling = RetryPolicy::hardened().max_session_retries;
-        assert_eq!(report.session_retries, u64::from(ceiling));
+        assert_eq!(report.session_retries, u64::from(MAX_SESSION_RETRIES));
         let faulted = report.outcomes.iter().find(|o| o.tenant == 1).unwrap();
         match &faulted.verdict {
             SessionVerdict::Quarantined(q) => {
@@ -1523,7 +1439,7 @@ mod tests {
                     "wrong cause: {}",
                     q.cause
                 );
-                assert_eq!(q.retries, ceiling);
+                assert_eq!(q.retries, MAX_SESSION_RETRIES);
                 assert!(
                     !q.cause.is_breach(),
                     "quarantine is an availability verdict"
@@ -1626,66 +1542,9 @@ mod tests {
     }
 
     #[test]
-    fn the_watchdog_quarantines_a_stalled_backoff_session() {
-        let models = campaign_models();
-        let m = &models[0];
-        let cut = steps_of(m) / 2;
-        let mut mgr = SessionManager::new(
-            DeviceSecret::from_seed(94),
-            94 ^ 0x5A5A,
-            m.session.shift,
-            RecoveryPolicy::default(),
-            2,
-        );
-        // A backoff two orders of magnitude past the watchdog: the
-        // watchdog must quarantine long before the backoff expires.
-        mgr.harden(
-            RobustnessPolicy {
-                retry: RetryPolicy {
-                    base_backoff_rounds: 500,
-                    backoff_multiplier: 1,
-                    max_backoff_rounds: 1000,
-                    ..RetryPolicy::hardened()
-                },
-                watchdog_rounds: Some(5),
-                shedding: None,
-            },
-            7,
-        );
-        admit_plain(&mut mgr, 0, m, None, None, vec![cut]);
-        let report = mgr.run();
-
-        assert!(
-            report.rounds < 500,
-            "watchdog must fire before the backoff expires (ran {} rounds)",
-            report.rounds
-        );
-        assert!(
-            matches!(
-                &report.outcomes[0].verdict,
-                SessionVerdict::Quarantined(q)
-                    if matches!(q.cause, SecurityError::SessionStalled { .. })
-            ),
-            "expected a watchdog quarantine, got {:?}",
-            report.outcomes[0].verdict
-        );
-    }
-
-    #[test]
     fn sustained_faults_shed_the_effective_admission_cap() {
         let models = campaign_models();
         let mut mgr = hardened_manager(93, 3);
-        mgr.harden(
-            RobustnessPolicy {
-                shedding: Some(SheddingPolicy {
-                    pressure_threshold: 2,
-                    min_inflight: 1,
-                    restore_after: 2,
-                }),
-                ..RobustnessPolicy::hardened()
-            },
-            93,
-        );
         admit_plain(&mut mgr, 0, &models[0], relentless(5), None, Vec::new());
         admit_plain(&mut mgr, 1, &models[0], None, None, Vec::new());
         admit_plain(&mut mgr, 2, &models[1], None, None, Vec::new());
@@ -1715,13 +1574,8 @@ mod tests {
         // bit-identity.
         let models = campaign_models();
         let m = &models[0];
-        let mut mgr = SessionManager::new(
-            DeviceSecret::from_seed(96),
-            96 ^ 0xA5A5,
-            m.session.shift,
-            RecoveryPolicy::default(),
-            8,
-        );
+        let mut mgr =
+            SessionManager::new(DeviceSecret::from_seed(96), 96 ^ 0xA5A5, m.session.shift, 8);
         let shared = Arc::new(m.layers.clone());
         for t in 0..3u32 {
             mgr.admit(AdmitSpec {
@@ -1783,7 +1637,6 @@ mod tests {
             secret: root.derive_tenant(tenant),
             nonce: 7,
             shift: 0,
-            policy: RecoveryPolicy::default(),
         };
         let coords = |v: u32, i: u32| BlockCoords {
             fmap_id: 1,

@@ -100,7 +100,7 @@ pub enum Counter {
     /// Tenants that exceeded their per-tenant round budget.
     DeadlineMisses,
     /// Tenants quarantined fail-closed (retry ceiling, deadline, or
-    /// watchdog) — journal sealed, pads never reissued.
+    /// client cancel) — journal sealed, pads never reissued.
     SessionsQuarantined,
     /// Admission slots shed by the scheduler's degradation rule under
     /// sustained fault pressure.

@@ -36,8 +36,7 @@ use std::sync::Arc;
 use seculator_core::telemetry::{self, Counter};
 use seculator_core::{
     campaign_models, output_digest, splitmix, AdmitSpec, CampaignModel, FaultInjector,
-    JournaledError, QConvLayer, RecoveryPolicy, SecurityError, SessionManager, SessionOutcome,
-    SessionVerdict,
+    JournaledError, QConvLayer, SecurityError, SessionManager, SessionOutcome, SessionVerdict,
 };
 use seculator_crypto::keys::DeviceSecret;
 
@@ -45,7 +44,8 @@ use crate::auth::{auth_tag, tags_equal, wire_identity};
 use crate::msg::{Message, RequestState};
 use crate::transport::ConnId;
 
-/// Ceiling on reply detail strings (the codec refuses longer).
+/// Ceiling on reply detail strings, in bytes (the codec refuses
+/// strings over 1,024 bytes).
 const MAX_DETAIL: usize = 512;
 
 /// Daemon construction parameters.
@@ -172,13 +172,7 @@ impl Daemon {
         let shared: Vec<Arc<Vec<QConvLayer>>> =
             models.iter().map(|m| Arc::new(m.layers.clone())).collect();
         let shift = models[0].session.shift;
-        let mgr = SessionManager::new(
-            root,
-            base_nonce,
-            shift,
-            RecoveryPolicy::default(),
-            cfg.max_inflight,
-        );
+        let mgr = SessionManager::new(root, base_nonce, shift, cfg.max_inflight);
         Self {
             root,
             models,
@@ -273,10 +267,9 @@ impl Daemon {
             (_, msg) => {
                 self.conns.remove(&conn);
                 Reply::fatal(Message::ProtocolError {
-                    detail: format!("message out of order for this connection state: {msg:?}")
-                        .chars()
-                        .take(MAX_DETAIL)
-                        .collect(),
+                    detail: detail(&format!(
+                        "message out of order for this connection state: {msg:?}"
+                    )),
                 })
             }
         }
@@ -308,10 +301,9 @@ impl Daemon {
                 Reply::one(Message::DrainAck { flushed })
             }
             other => Reply::fatal(Message::ProtocolError {
-                detail: format!("unexpected message on an authenticated connection: {other:?}")
-                    .chars()
-                    .take(MAX_DETAIL)
-                    .collect(),
+                detail: detail(&format!(
+                    "unexpected message on an authenticated connection: {other:?}"
+                )),
             }),
         }
     }
@@ -420,7 +412,7 @@ impl Daemon {
                 };
                 RequestState::Aborted {
                     breach,
-                    detail: truncate(&format!("{e}")),
+                    detail: detail(&format!("{e}")),
                 }
             }
             SessionVerdict::Quarantined(q) => {
@@ -431,7 +423,7 @@ impl Daemon {
                     }
                 } else {
                     RequestState::Quarantined {
-                        detail: truncate(&format!("{}", q.cause)),
+                        detail: detail(&format!("{}", q.cause)),
                     }
                 }
             }
@@ -544,13 +536,11 @@ impl Daemon {
     }
 }
 
-/// First line only, bounded — verdict displays carry multi-line audit
-/// trails that belong in logs, not in a wire status field.
-fn truncate(s: &str) -> String {
-    s.lines()
-        .next()
-        .unwrap_or("")
-        .chars()
-        .take(MAX_DETAIL)
-        .collect()
+/// A reply detail: the first line of `s`, cut to at most [`MAX_DETAIL`]
+/// bytes on a character boundary. Verdict displays carry multi-line
+/// audit trails that belong in logs, not in a wire status field, and a
+/// detail that quotes a client's message must still fit the codec.
+fn detail(s: &str) -> String {
+    let line = s.lines().next().unwrap_or("");
+    line[..line.floor_char_boundary(MAX_DETAIL)].to_string()
 }

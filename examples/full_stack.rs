@@ -15,7 +15,7 @@ use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::command::{Command, HostChannel, NpuCommandProcessor};
 use seculator::core::journal::{DurableState, PadTracker};
 use seculator::core::secure_infer::{
-    infer_journaled, infer_plain, Instruments, QConvLayer, RecoveryPolicy, SecureSession,
+    infer_journaled, infer_plain, Instruments, QConvLayer, SecureSession,
 };
 use seculator::core::{FaultInjector, FaultKind, FaultSpec, Persistence};
 use seculator::crypto::keys::{DeviceSecret, SessionKey};
@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         secret,
         nonce: 1,
         shift: SHIFT,
-        policy: RecoveryPolicy::default(),
     };
     let protected = infer_journaled(
         &layers,

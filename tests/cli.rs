@@ -117,6 +117,10 @@ fn campaign_reports_are_pinned() {
             include_str!("pinned/chaos-campaign-seed11-sessions4.txt"),
         ),
         (
+            &["chaos-campaign", "--seed", "42", "--sessions", "8"][..],
+            include_str!("pinned/chaos-campaign-seed42-sessions8.txt"),
+        ),
+        (
             &[
                 "restart-campaign",
                 "--seed",

@@ -112,8 +112,8 @@ fn every_zoo_model_survives_a_mid_run_cut_bit_identically() {
 #[test]
 fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
     use seculator::core::{
-        AdmitSpec, FaultInjector, FaultKind, FaultSpec, Persistence, RobustnessPolicy,
-        SecurityError, SessionManager, SessionVerdict,
+        AdmitSpec, FaultInjector, FaultKind, FaultSpec, Persistence, SecurityError, SessionManager,
+        SessionVerdict,
     };
     use seculator::crypto::DeviceSecret;
     use std::sync::Arc;
@@ -143,10 +143,9 @@ fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
             DeviceSecret::from_seed(seed),
             seed ^ 0x5eed,
             m.session.shift,
-            m.session.policy,
             3,
         );
-        mgr.harden(RobustnessPolicy::hardened(), seed ^ 0xF00D);
+        mgr.harden(seed ^ 0xF00D);
         let healthy_session = mgr.derived_session(0);
         let shared = Arc::new(m.layers.clone());
         let mut admit = |tenant: u32, injector: Option<FaultInjector>, crash_cuts: Vec<u64>| {
@@ -247,13 +246,7 @@ fn batched_multi_tenant_sessions_match_the_plaintext_reference() {
 
     for m in campaign_models() {
         let expected = infer_plain(&m.layers, &m.input, m.session.shift);
-        let mut mgr = SessionManager::new(
-            m.session.secret,
-            m.session.nonce,
-            m.session.shift,
-            m.session.policy,
-            3,
-        );
+        let mut mgr = SessionManager::new(m.session.secret, m.session.nonce, m.session.shift, 3);
         let shared = Arc::new(m.layers.clone());
         for tenant in 0..3u32 {
             mgr.admit(AdmitSpec {
@@ -457,14 +450,14 @@ fn every_backend_resumes_a_cut_inference_bit_identically() {
 #[test]
 fn every_zoo_model_served_over_the_loopback_wire_is_bit_identical() {
     use seculator::client::Client;
-    use seculator::core::{RecoveryPolicy, SessionManager};
+    use seculator::core::SessionManager;
     use seculator::wire::{wire_identity, DaemonConfig, LoopbackNet, RequestState};
 
     let seed = 0x8DA7_A9A7u64;
     let (root, base_nonce) = wire_identity(seed);
     let models = campaign_models();
     let shift = models[0].session.shift;
-    let key_mgr = SessionManager::new(root, base_nonce, shift, RecoveryPolicy::default(), 1);
+    let key_mgr = SessionManager::new(root, base_nonce, shift, 1);
 
     let net = LoopbackNet::new(&DaemonConfig::new(seed), seed);
     for (tenant, m) in models.iter().enumerate() {
@@ -539,7 +532,7 @@ fn daemon_campaign_matches_the_serve_campaign_for_the_same_seed() {
 #[test]
 fn a_killed_daemon_resumes_its_durable_home_bit_identically() {
     use seculator::client::Client;
-    use seculator::core::{RecoveryPolicy, SessionManager};
+    use seculator::core::SessionManager;
     use seculator::wire::{wire_identity, DaemonConfig, LoopbackNet, RequestState};
 
     let seed = 0xDEAD_5EED_u64;
@@ -551,7 +544,7 @@ fn a_killed_daemon_resumes_its_durable_home_bit_identically() {
     let models = campaign_models();
     let m = &models[0]; // grouped-cnn: the deepest zoo member
     let shift = m.session.shift;
-    let key_mgr = SessionManager::new(root, base_nonce, shift, RecoveryPolicy::default(), 1);
+    let key_mgr = SessionManager::new(root, base_nonce, shift, 1);
     let session = key_mgr.derived_session(0);
     let solo = infer_journaled(
         &m.layers,

@@ -7,7 +7,7 @@ use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::journal::{DurableState, PadTracker};
 use seculator::core::secure_infer::{
     infer_journaled, infer_plain, infer_resume, Instruments, JournaledError, QConvLayer,
-    RecoveryPolicy, SecureSession,
+    SecureSession,
 };
 use seculator::core::{
     audit_home, campaign_models, run_persistent, AdmitSpec, CrashClock, CrashPhase, DurableError,
@@ -27,7 +27,6 @@ fn mlp() -> (Vec<QConvLayer>, QTensor3, SecureSession) {
         secret: DeviceSecret::from_seed(201),
         nonce: 2025,
         shift: 6,
-        policy: RecoveryPolicy::default(),
     };
     (layers, input, session)
 }
@@ -174,13 +173,7 @@ fn the_epoch_open_record_is_durable_before_the_first_pad() {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).expect("scratch home");
-        let mut mgr = SessionManager::new(
-            DeviceSecret::from_seed(7),
-            99,
-            m.session.shift,
-            RecoveryPolicy::default(),
-            1,
-        );
+        let mut mgr = SessionManager::new(DeviceSecret::from_seed(7), 99, m.session.shift, 1);
         mgr.admit(AdmitSpec {
             tenant: 0,
             name: m.name.to_owned(),

@@ -6,9 +6,10 @@
 
 use seculator::campaigns::{defaults, run_fault_campaign, Report};
 use seculator::compute::quant::{QTensor3, QTensor4};
+use seculator::core::retry::{MAX_REEXECUTIONS, MAX_REFETCHES};
 use seculator::core::secure_infer::{
     infer_journaled, infer_plain, Instruments, JournaledError, JournaledRun, QConvLayer,
-    RecoveryPolicy, SecureSession,
+    SecureSession,
 };
 use seculator::core::{
     AbortReport, DurableState, FaultInjector, FaultKind, FaultSpec, PadTracker, Persistence,
@@ -35,16 +36,11 @@ fn input() -> QTensor3 {
 
 /// One journaled run of the test network on a fresh journal, with no
 /// power-cut clock.
-fn run(
-    nonce: u64,
-    policy: RecoveryPolicy,
-    injector: Option<&mut FaultInjector>,
-) -> Result<JournaledRun, JournaledError> {
+fn run(nonce: u64, injector: Option<&mut FaultInjector>) -> Result<JournaledRun, JournaledError> {
     let session = SecureSession {
         secret: DeviceSecret::from_seed(3),
         nonce,
         shift: SHIFT,
-        policy,
     };
     infer_journaled(
         &net(),
@@ -61,7 +57,7 @@ fn run(
 
 fn run_with(spec: FaultSpec) -> Result<JournaledRun, JournaledError> {
     let mut injector = FaultInjector::new(99, vec![spec]);
-    let r = run(11, RecoveryPolicy::default(), Some(&mut injector));
+    let r = run(11, Some(&mut injector));
     assert!(injector.injections() > 0, "fault must fire: {spec}");
     r
 }
@@ -146,9 +142,8 @@ fn relentless_fault_aborts_gracefully_with_audit_record() {
             reexecutions,
         } => {
             assert_eq!(layer_id, 0);
-            let policy = RecoveryPolicy::default();
-            assert_eq!(reexecutions, policy.max_reexecutions);
-            assert!(refetches >= policy.max_refetches);
+            assert_eq!(reexecutions, MAX_REEXECUTIONS);
+            assert!(refetches >= MAX_REFETCHES);
         }
         ref other => panic!("wrong terminal error: {other}"),
     }
@@ -170,42 +165,37 @@ fn relentless_fault_aborts_gracefully_with_audit_record() {
     assert!(text.contains("inference aborted"), "{text}");
 }
 
-/// With no recovery budget, a fault on any layer — of any persistence
-/// class — is detected at that layer's boundary and aborts there.
+/// A relentless fault on any layer is detected at that layer's
+/// boundary, spends the whole constant ladder there — every re-fetch of
+/// every execution attempt — and aborts at that layer.
 #[test]
-fn zero_recovery_policy_turns_any_fault_into_an_abort() {
-    let policy = RecoveryPolicy {
-        max_refetches: 0,
-        max_reexecutions: 0,
-    };
+fn a_relentless_fault_on_any_layer_aborts_at_that_layer() {
     for layer in 0..net().len() as u32 {
-        for persistence in Persistence::ALL {
-            let spec = FaultSpec {
-                kind: FaultKind::BitFlip,
-                persistence,
-                layer,
-                block: 0,
-            };
-            let mut injector = FaultInjector::new(5, vec![spec]);
-            let result = run(12, policy, Some(&mut injector));
-            assert!(injector.injections() > 0, "fault must fire: {spec}");
-            let abort = expect_abort(result, "no recovery budget, no recovery");
-            assert_eq!(
-                abort.error,
-                SecurityError::RecoveryExhausted {
-                    layer_id: layer,
-                    refetches: 0,
-                    reexecutions: 0,
-                },
-                "{spec}"
-            );
-        }
+        let spec = FaultSpec {
+            kind: FaultKind::BitFlip,
+            persistence: Persistence::Relentless,
+            layer,
+            block: 0,
+        };
+        let mut injector = FaultInjector::new(5, vec![spec]);
+        let result = run(12, Some(&mut injector));
+        assert!(injector.injections() > 0, "fault must fire: {spec}");
+        let abort = expect_abort(result, "a relentless fault outlasts the ladder");
+        assert_eq!(
+            abort.error,
+            SecurityError::RecoveryExhausted {
+                layer_id: layer,
+                refetches: (MAX_REEXECUTIONS + 1) * MAX_REFETCHES,
+                reexecutions: MAX_REEXECUTIONS,
+            },
+            "{spec}"
+        );
     }
 }
 
 #[test]
 fn clean_resilient_run_matches_plain_and_protected_pipelines() {
-    let run = run(13, RecoveryPolicy::default(), None).expect("clean run verifies");
+    let run = run(13, None).expect("clean run verifies");
     assert!(run.incidents.is_empty());
     assert!(run.max_layer_blocks > 0);
     assert_eq!(run.output, infer_plain(&net(), &input(), SHIFT));

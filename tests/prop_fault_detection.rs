@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use seculator::compute::quant::{QTensor3, QTensor4};
 use seculator::core::secure_infer::{
     infer_journaled, infer_plain, Instruments, JournaledError, JournaledRun, QConvLayer,
-    RecoveryPolicy, SecureSession,
+    SecureSession,
 };
 use seculator::core::{DurableState, FaultInjector, FaultKind, FaultSpec, PadTracker, Persistence};
 use seculator::crypto::DeviceSecret;
@@ -32,16 +32,11 @@ fn input() -> QTensor3 {
 
 /// One journaled run of [`net`] on a fresh journal, with no power-cut
 /// clock.
-fn run(
-    nonce: u64,
-    policy: RecoveryPolicy,
-    injector: Option<&mut FaultInjector>,
-) -> Result<JournaledRun, JournaledError> {
+fn run(nonce: u64, injector: Option<&mut FaultInjector>) -> Result<JournaledRun, JournaledError> {
     let session = SecureSession {
         secret: DeviceSecret::from_seed(3),
         nonce,
         shift: SHIFT,
-        policy,
     };
     infer_journaled(
         &net(),
@@ -83,7 +78,7 @@ proptest! {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
         let mut injector = FaultInjector::new(seed, vec![spec]);
-        let result = run(nonce, RecoveryPolicy::default(), Some(&mut injector));
+        let result = run(nonce, Some(&mut injector));
         prop_assert!(injector.injections() > 0, "fault must actually fire: {spec}");
         match result {
             Ok(run) => {
@@ -126,24 +121,19 @@ proptest! {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
         let mut injector = FaultInjector::new(seed, vec![spec]);
-        match run(7, RecoveryPolicy::default(), Some(&mut injector)) {
+        match run(7, Some(&mut injector)) {
             Ok(run) => prop_assert!(run.output == reference, "{spec}"),
             Err(abort) => prop_assert!(false, "{spec} must be recoverable, aborted: {abort}"),
         }
     }
 
     /// Zero faults ⇒ zero incidents and a bit-exact output, for any
-    /// nonce and policy bound: the detector has no false positives.
+    /// nonce: the detector has no false positives.
     #[test]
-    fn clean_runs_never_report_violations(
-        nonce in any::<u64>(),
-        max_refetches in 0u32..4,
-        max_reexecutions in 0u32..4,
-    ) {
+    fn clean_runs_never_report_violations(nonce in any::<u64>()) {
         let layers = net();
         let reference = infer_plain(&layers, &input(), SHIFT);
-        let policy = RecoveryPolicy { max_refetches, max_reexecutions };
-        match run(nonce, policy, None) {
+        match run(nonce, None) {
             Ok(run) => {
                 prop_assert!(run.incidents.is_empty(), "false positive: {}", run.incidents.summary());
                 prop_assert!(run.output == reference);

@@ -7,11 +7,14 @@
 use proptest::prelude::*;
 use seculator::campaigns::run_serve_campaign;
 use seculator::core::journal::{campaign_models, DurableState, PadTracker};
+use seculator::core::retry::{
+    BACKOFF_MULTIPLIER, BASE_BACKOFF_ROUNDS, MAX_BACKOFF_ROUNDS, MAX_SESSION_RETRIES,
+};
 use seculator::core::secure_infer::Instruments;
 use seculator::core::telemetry::{self, LayerRow};
 use seculator::core::{
-    infer_journaled, AdmitSpec, CrashClock, FaultInjector, FaultKind, FaultSpec, JournaledError,
-    Persistence, RobustnessPolicy, SecurityError, SessionManager, SessionVerdict,
+    infer_journaled, splitmix, AdmitSpec, CampaignModel, CrashClock, FaultInjector, FaultKind,
+    FaultSpec, JournaledError, Persistence, SecurityError, SessionManager, SessionVerdict,
 };
 use seculator::crypto::DeviceSecret;
 use std::sync::Arc;
@@ -29,7 +32,6 @@ fn zoo_manager(
         DeviceSecret::from_seed(seed),
         seed ^ 0x5eed,
         models[0].session.shift,
-        models[0].session.policy,
         max_inflight,
     );
     let shared: Vec<Arc<_>> = models.iter().map(|m| Arc::new(m.layers.clone())).collect();
@@ -143,7 +145,6 @@ proptest! {
             DeviceSecret::from_seed(seed),
             seed ^ 0x5eed,
             models[0].session.shift,
-            models[0].session.policy,
             2,
         );
         let shared: Vec<Arc<_>> =
@@ -219,7 +220,6 @@ fn shared_weight_manager(seed: u64, sessions: u32, pick: usize) -> SessionManage
         DeviceSecret::from_seed(seed),
         seed ^ 0x5eed,
         m.session.shift,
-        m.session.policy,
         sessions as usize,
     );
     let shared = Arc::new(m.layers.clone());
@@ -270,6 +270,23 @@ proptest! {
     }
 }
 
+/// A model's interruptible instants, from one counting-clock run.
+fn instants(m: &CampaignModel) -> u64 {
+    let mut clock = CrashClock::counting();
+    let _ = infer_journaled(
+        &m.layers,
+        &m.input,
+        &m.session,
+        &mut DurableState::default(),
+        &mut Instruments {
+            tracker: &mut PadTracker::new(),
+            injector: None,
+            clock: Some(&mut clock),
+        },
+    );
+    clock.steps()
+}
+
 /// Negative property of the retry path: a session retried after a
 /// mid-run failure resumes under a *bumped nonce epoch* and never reuses
 /// a CTR pad — the cross-session [`seculator::core::PadLedger`] stays
@@ -282,30 +299,14 @@ fn retry_storms_never_reuse_a_ctr_pad() {
     for seed in [21u64, 22, 23] {
         let m = &models[seed as usize % models.len()];
         // Calibrate a mid-run cut for the crash-cut tenant.
-        let steps = {
-            let mut clock = CrashClock::counting();
-            let mut tracker = PadTracker::new();
-            let _ = infer_journaled(
-                &m.layers,
-                &m.input,
-                &m.session,
-                &mut DurableState::default(),
-                &mut Instruments {
-                    tracker: &mut tracker,
-                    injector: None,
-                    clock: Some(&mut clock),
-                },
-            );
-            clock.steps()
-        };
+        let steps = instants(m);
         let mut mgr = SessionManager::new(
             DeviceSecret::from_seed(seed),
             seed ^ 0x5eed,
             m.session.shift,
-            m.session.policy,
             3,
         );
-        mgr.harden(RobustnessPolicy::hardened(), seed ^ 0xF00D);
+        mgr.harden(seed ^ 0xF00D);
         let retried_session = mgr.derived_session(0);
         let shared = Arc::new(m.layers.clone());
         let admit = |mgr: &mut SessionManager,
@@ -417,6 +418,143 @@ fn retry_storms_never_reuse_a_ctr_pad() {
     }
 }
 
+/// The most rounds a hardened tenant that holds a slot can go without a
+/// promotion or a layer commit (DESIGN §13), derived from the
+/// `core::retry` constants. A step either commits or fails, so the first
+/// failure lands at most one round after the last progress. Retry `i`
+/// wakes at most `min(BASE · MULTIPLIER^i, CAP) + BASE` rounds after the
+/// failure before it and commits or fails in its wake round. The failure
+/// after the last retry quarantines the tenant.
+fn stall_bound() -> u64 {
+    1 + (0..MAX_SESSION_RETRIES)
+        .map(|i| {
+            (BASE_BACKOFF_ROUNDS * BACKOFF_MULTIPLIER.pow(i)).min(MAX_BACKOFF_ROUNDS)
+                + BASE_BACKOFF_ROUNDS
+        })
+        .sum::<u64>()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The retry ceiling bounds every stall, which is why the scheduler
+    /// needs no stuck-session watchdog. A hardened manager is stepped one
+    /// round at a time while every tenant carries a seeded power cut for
+    /// each of its attempts and half of them also a relentless fault at a
+    /// seeded layer. Every tenant reaches a terminal state, no tenant that
+    /// holds a slot goes more than [`stall_bound`] rounds without a commit,
+    /// and that bound is below the 64 rounds the deleted watchdog allowed.
+    #[test]
+    fn hardened_stalls_stay_within_the_retry_bound(
+        seed in any::<u64>(),
+        sessions in 2u32..=6,
+    ) {
+        const DELETED_WATCHDOG_ROUNDS: u64 = 64;
+        let bound = stall_bound();
+        prop_assert_eq!(bound, 6);
+        prop_assert!(bound < DELETED_WATCHDOG_ROUNDS);
+
+        let models = campaign_models();
+        let steps: Vec<u64> = models.iter().map(instants).collect();
+        // One slot per tenant: every tenant is promoted in round 1 and
+        // holds its slot until it is terminal.
+        let mut mgr = SessionManager::new(
+            DeviceSecret::from_seed(seed),
+            seed ^ 0x5eed,
+            models[0].session.shift,
+            sessions as usize,
+        );
+        mgr.harden(seed ^ 0xF00D);
+        let mut rng = seed;
+        let mut faulted = Vec::new();
+        for t in 0..sessions {
+            let pick = (splitmix(&mut rng) % models.len() as u64) as usize;
+            let m = &models[pick];
+            let crash_cuts = (0..=MAX_SESSION_RETRIES)
+                .map(|_| 1 + splitmix(&mut rng) % steps[pick])
+                .collect();
+            let injector = (splitmix(&mut rng) & 1 == 0).then(|| {
+                FaultInjector::new(
+                    splitmix(&mut rng),
+                    vec![FaultSpec {
+                        kind: FaultKind::BitFlip,
+                        persistence: Persistence::Relentless,
+                        layer: (splitmix(&mut rng) % m.layers.len() as u64) as u32,
+                        block: splitmix(&mut rng),
+                    }],
+                )
+            });
+            faulted.push(injector.is_some());
+            mgr.admit(AdmitSpec {
+                tenant: t,
+                name: m.name.to_string(),
+                layers: Arc::new(m.layers.clone()),
+                input: m.input.clone(),
+                arrival_round: 0,
+                injector,
+                deadline_rounds: None,
+                crash_cuts,
+                nonce_salt: 0,
+                home_dir: None,
+            });
+        }
+
+        // (round of the last promotion or commit, commits so far)
+        let mut progress = vec![(1u64, 0u32); sessions as usize];
+        let mut outcomes = Vec::new();
+        while mgr.step_round() {
+            let round = mgr.current_round();
+            prop_assert!(round <= 1_000, "seed {}: the fleet never drained", seed);
+            outcomes.extend(mgr.harvest_terminal());
+            for t in 0..sessions {
+                if outcomes.iter().any(|o| o.tenant == t) {
+                    continue;
+                }
+                let commits = mgr.progress_of(t).expect("live tenant");
+                let (last, seen) = &mut progress[t as usize];
+                if commits > *seen {
+                    (*last, *seen) = (round, commits);
+                }
+                // Rounds since its last progress when the next round
+                // starts.
+                prop_assert!(
+                    round + 1 - *last <= bound,
+                    "seed {}: tenant {} holds a slot {} rounds after its last progress",
+                    seed,
+                    t,
+                    round + 1 - *last
+                );
+            }
+        }
+
+        prop_assert_eq!(outcomes.len(), sessions as usize, "every tenant is terminal");
+        for o in &outcomes {
+            match &o.verdict {
+                SessionVerdict::Quarantined(q) => prop_assert!(
+                    matches!(q.cause, SecurityError::RetryCeilingExhausted { .. }),
+                    "seed {}: tenant {}: {}",
+                    seed,
+                    o.tenant,
+                    q.cause
+                ),
+                SessionVerdict::Completed(_) => prop_assert!(
+                    !faulted[o.tenant as usize],
+                    "seed {}: a relentless fault must not verify",
+                    seed
+                ),
+                SessionVerdict::Aborted(e) => prop_assert!(
+                    false,
+                    "seed {}: hardened tenant {} aborted: {}",
+                    seed,
+                    o.tenant,
+                    e
+                ),
+            }
+        }
+        prop_assert_eq!(mgr.pad_collisions(), 0);
+    }
+}
+
 /// Every tenant of a 300-session serve campaign gets its own exact row:
 /// all 300 are present, in tenant order, and with telemetry on each has
 /// timed seal, open and compute stages. With telemetry off every row is
@@ -475,10 +613,9 @@ fn session_rows_sum_the_rows_of_every_step() {
         DeviceSecret::from_seed(seed),
         seed ^ 0x5eed,
         cut_model.session.shift,
-        cut_model.session.policy,
         2,
     );
-    mgr.harden(RobustnessPolicy::hardened(), seed ^ 0xF00D);
+    mgr.harden(seed ^ 0xF00D);
     for t in 0..4u32 {
         let m = &models[t as usize % models.len()];
         mgr.admit(AdmitSpec {

@@ -312,3 +312,72 @@ fn request_ids_never_share_a_nonce_space() {
         "a request reissued another request's CTR pads"
     );
 }
+
+/// A reply detail that quotes a hostile message still fits the codec.
+/// The model name is 256 four-byte characters (1,024 bytes, the most
+/// `Message::decode` accepts), so the detail the daemon builds from it
+/// runs past 1,024 bytes before it is cut. Sent before authentication,
+/// and as a message no authenticated client may send, each gets a
+/// `ProtocolError` that survives `encode_frame` → `decode_frame` →
+/// `Message::decode`, and the connection closes.
+#[test]
+fn protocol_error_details_fit_the_codec_whatever_the_client_sent() {
+    use seculator::wire::{auth_tag, wire_identity, Daemon, DaemonConfig};
+
+    let wide = "\u{1D11E}".repeat(256);
+    assert_eq!(wide.len(), 1024);
+    let submit = Message::Submit {
+        request_id: 0,
+        model: wide.clone(),
+        input: QTensor3::seeded(1, 1, 1, 1),
+    };
+    let submit = Message::decode(&submit.encode()).expect("a 1,024-byte name is in bounds");
+
+    let seed = 7;
+    let (root, _) = wire_identity(seed);
+    let mut daemon = Daemon::new(&DaemonConfig::new(seed));
+
+    // Conn 0: out of order before the handshake.
+    daemon.on_connect(0);
+    let fresh = daemon.on_message(0, submit);
+
+    // Conn 1: authenticate tenant 0, then send a server-only message.
+    daemon.on_connect(1);
+    let client_nonce = 11;
+    let reply = daemon.on_message(
+        1,
+        Message::ClientHello {
+            tenant: 0,
+            client_nonce,
+        },
+    );
+    let Message::ServerChallenge {
+        challenge,
+        server_nonce,
+    } = reply.msgs[0]
+    else {
+        panic!("expected a challenge, got {:?}", reply.msgs);
+    };
+    let tag = auth_tag(
+        &root.derive_tenant(0),
+        0,
+        challenge,
+        client_nonce,
+        server_nonce,
+    );
+    let reply = daemon.on_message(1, Message::AuthProof { tag });
+    assert_eq!(reply.msgs, vec![Message::AuthOk { tenant: 0 }]);
+    let authed = daemon.on_message(1, Message::AuthReject { reason: wide });
+
+    for reply in [fresh, authed] {
+        assert!(reply.close, "a protocol violation closes the connection");
+        assert_eq!(reply.msgs.len(), 1);
+        let msg = &reply.msgs[0];
+        let Message::ProtocolError { detail } = msg else {
+            panic!("expected a protocol error, got {msg:?}");
+        };
+        assert!(detail.len() <= 512, "{} bytes", detail.len());
+        let payload = decode_frame(&encode_frame(&msg.encode())).expect("frame round-trips");
+        assert_eq!(&Message::decode(&payload).expect("message decodes"), msg);
+    }
+}
