@@ -24,7 +24,7 @@ use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker}
 use crate::mac_verify::EagerLayerVerifier;
 use crate::retry::{MAX_REEXECUTIONS, MAX_REFETCHES};
 use crate::secure_memory::{Block, BlockCoords, CryptoDatapath, UntrustedDram};
-use crate::telemetry::{self, LayerRow};
+use crate::telemetry::{self, Hist, LayerRow};
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QAccum3, QTensor3, QTensor4};
 use seculator_crypto::keys::DeviceSecret;
 
@@ -530,10 +530,12 @@ pub(crate) fn step_journaled_layer(
         let pcoords = tile_coords(li, li, v_part, pblocks.len());
         // Stage spans time each stage into this step's row — the
         // per-layer rows of `figures throughput` and `seculator stats`,
-        // and the per-session rows of the campaigns' `--metrics`.
+        // and the per-session rows of the campaigns' `--metrics` — and
+        // feed the stage's histogram from the same reading, so no
+        // interval is timed twice.
         let sealed = {
-            let _stage = telemetry::stage_span(&mut row.seal_ns);
-            cursor.datapath.seal_blocks(&pcoords, &pblocks)
+            let _stage = telemetry::stage_span_with(&mut row.seal_ns, Hist::SealNs);
+            cursor.datapath.seal_batch(&pcoords, &pblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
             tick(&mut instruments.clock, li, CrashPhase::PartialEvict)
@@ -580,13 +582,12 @@ pub(crate) fn step_journaled_layer(
             ));
         }
         let opened = {
-            let _stage = telemetry::stage_span(&mut row.open_ns);
-            cursor.datapath.open_blocks(&pcoords, &part_ct)
+            let _stage = telemetry::stage_span_with(&mut row.open_ns, Hist::OpenNs);
+            cursor.datapath.open_batch(&pcoords, &part_ct)
         };
         let mut part_rd = Vec::with_capacity(pblocks.len());
         {
-            let _stage = telemetry::stage_span(&mut row.mac_fold_ns);
-            let _span = telemetry::span(telemetry::Hist::MacFoldNs);
+            let _stage = telemetry::stage_span_with(&mut row.mac_fold_ns, Hist::MacFoldNs);
             for (pt, mac) in opened {
                 lv.on_read(&mac);
                 part_rd.push(pt);
@@ -607,8 +608,8 @@ pub(crate) fn step_journaled_layer(
         let fblocks = accum_to_blocks(&full);
         let fcoords = tile_coords(li, li, v_full, fblocks.len());
         let sealed = {
-            let _stage = telemetry::stage_span(&mut row.seal_ns);
-            cursor.datapath.seal_blocks(&fcoords, &fblocks)
+            let _stage = telemetry::stage_span_with(&mut row.seal_ns, Hist::SealNs);
+            cursor.datapath.seal_batch(&fcoords, &fblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
             tick(&mut instruments.clock, li, CrashPhase::FinalEvict)
@@ -669,13 +670,12 @@ pub(crate) fn step_journaled_layer(
                 ));
             }
             let opened = {
-                let _stage = telemetry::stage_span(&mut row.open_ns);
-                cursor.datapath.open_blocks(&fcoords, &cts)
+                let _stage = telemetry::stage_span_with(&mut row.open_ns, Hist::OpenNs);
+                cursor.datapath.open_batch(&fcoords, &cts)
             };
             let mut rd = Vec::with_capacity(fblocks.len());
             {
-                let _stage = telemetry::stage_span(&mut row.mac_fold_ns);
-                let _span = telemetry::span(telemetry::Hist::MacFoldNs);
+                let _stage = telemetry::stage_span_with(&mut row.mac_fold_ns, Hist::MacFoldNs);
                 for (pt, mac) in opened {
                     lv.on_first_read(&mac);
                     rd.push(pt);
@@ -730,10 +730,11 @@ pub(crate) fn step_journaled_layer(
                     vn_emitted: nblocks.max(1) * u64::from(v_full),
                 };
                 {
-                    let _stage = telemetry::stage_span(&mut row.journal_ns);
+                    let _stage =
+                        telemetry::stage_span_with(&mut row.journal_ns, Hist::JournalAppendNs);
                     durable
                         .journal
-                        .append(
+                        .append_untimed(
                             &record,
                             &session.secret,
                             session.nonce,

@@ -297,11 +297,22 @@ impl CryptoDatapath {
     /// Panics if `coords.len() != blocks.len()`.
     #[must_use]
     pub fn seal_blocks(&self, coords: &[BlockCoords], blocks: &[Block]) -> Vec<(Block, [u8; 32])> {
-        assert_eq!(coords.len(), blocks.len(), "one coordinate tuple per block");
-        // Telemetry is batch-level only: one counter bump and one span
-        // per tile, never per block, so the rayon fan-out stays clean.
-        self.note_batch(telemetry::Counter::SealBatches, coords.len());
         let _span = telemetry::span(telemetry::Hist::SealNs);
+        self.seal_batch(coords, blocks)
+    }
+
+    /// [`Self::seal_blocks`] without its `seal_ns` span, for a caller
+    /// whose own stage timer feeds that histogram.
+    pub(crate) fn seal_batch(
+        &self,
+        coords: &[BlockCoords],
+        blocks: &[Block],
+    ) -> Vec<(Block, [u8; 32])> {
+        assert_eq!(coords.len(), blocks.len(), "one coordinate tuple per block");
+        // Telemetry is batch-level only: one counter bump here and one
+        // timed interval per tile, never per block, so the rayon fan-out
+        // stays clean.
+        self.note_batch(telemetry::Counter::SealBatches, coords.len());
         match self.mode {
             DatapathMode::Serial => coords
                 .iter()
@@ -454,9 +465,19 @@ impl CryptoDatapath {
     /// Panics if `coords.len() != blocks.len()`.
     #[must_use]
     pub fn open_blocks(&self, coords: &[BlockCoords], blocks: &[Block]) -> Vec<(Block, [u8; 32])> {
+        let _span = telemetry::span(telemetry::Hist::OpenNs);
+        self.open_batch(coords, blocks)
+    }
+
+    /// [`Self::open_blocks`] without its `open_ns` span, for a caller
+    /// whose own stage timer feeds that histogram.
+    pub(crate) fn open_batch(
+        &self,
+        coords: &[BlockCoords],
+        blocks: &[Block],
+    ) -> Vec<(Block, [u8; 32])> {
         assert_eq!(coords.len(), blocks.len(), "one coordinate tuple per block");
         self.note_batch(telemetry::Counter::OpenBatches, coords.len());
-        let _span = telemetry::span(telemetry::Hist::OpenNs);
         match self.mode {
             DatapathMode::Serial => coords
                 .iter()

@@ -55,7 +55,8 @@
 //! The serve and chaos campaigns that drive all of this from a seed live
 //! in the `seculator-campaigns` crate.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -319,19 +320,21 @@ impl SessionOutcome {
     }
 }
 
-/// The full identity of one issued pad: the `(secret, nonce)` pair fed
-/// to the KDF, the nonce epoch, and the CTR counter coordinates.
-type PadKey = (DeviceSecret, u64, u32, BlockCoords);
-
 /// Cross-session pad-uniqueness ledger: a pad is identified by the
 /// `(derived key identity, epoch, counter)` triple that generated it,
 /// where the key identity is the `(secret, nonce)` pair fed to the KDF.
 /// Within one session the [`PadTracker`] already fails closed on reuse;
 /// this ledger extends the assertion *across* sessions, where distinct
 /// derived keys are what keeps equal counters harmless.
+///
+/// Entries are keyed by key identity, each holding that identity's
+/// `(epoch, counter)` set as a [`PadTracker`]. A session whose identity
+/// is new to the ledger is absorbed whole, without hashing a pad; only
+/// a repeated identity is merged pad by pad (DESIGN §12).
 #[derive(Debug, Default)]
 pub struct PadLedger {
-    pads: HashSet<PadKey>,
+    identities: HashMap<(DeviceSecret, u64), PadTracker>,
+    pads: u64,
     collisions: u64,
 }
 
@@ -351,18 +354,23 @@ impl PadLedger {
         epoch: u32,
         coords: BlockCoords,
     ) -> bool {
-        if self.pads.insert((secret, nonce, epoch, coords)) {
-            true
+        let fresh = self
+            .identities
+            .entry((secret, nonce))
+            .or_default()
+            .preload(epoch, coords);
+        if fresh {
+            self.pads += 1;
         } else {
             self.collisions += 1;
-            false
         }
+        fresh
     }
 
     /// Distinct pads recorded.
     #[must_use]
     pub fn pads(&self) -> u64 {
-        self.pads.len() as u64
+        self.pads
     }
 
     /// Collisions observed (must be 0 for isolated sessions).
@@ -373,6 +381,11 @@ impl PadLedger {
 
     /// Absorbs every pad a session's tracker issued under its key.
     pub fn absorb(&mut self, session: &SecureSession, tracker: &PadTracker) {
+        if let Entry::Vacant(slot) = self.identities.entry((session.secret, session.nonce)) {
+            self.pads += tracker.pads_issued() as u64;
+            slot.insert(tracker.clone());
+            return;
+        }
         for &(epoch, coords) in tracker.issued() {
             self.insert(session.secret, session.nonce, epoch, coords);
         }

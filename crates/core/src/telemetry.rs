@@ -18,6 +18,9 @@
 //! Per-layer stage times are not global: each journaled layer step owns
 //! one [`LayerRow`] and times its stages into it with [`stage_span`]
 //! guards, so every row is exact and nothing is shared between steps.
+//! A stage that also has a histogram (seal, open, MAC fold, journal
+//! append) is timed once by a [`stage_span_with`] guard, which feeds
+//! both from the same two clock reads.
 //!
 //! # Feature gate
 //!
@@ -377,14 +380,18 @@ pub fn span(h: Hist) -> Span {
 
 /// A stage timer: like [`Span`], but on drop it adds its elapsed wall
 /// time to the `u64` it borrows — one stage field of a [`LayerRow`] —
-/// instead of feeding a histogram. When telemetry is disabled no clock
-/// is read and the field is left untouched.
+/// and, when started by [`stage_span_with`], records the same reading
+/// in a histogram, so an interval both sinks want is timed once. When
+/// telemetry is disabled no clock is read and the field is left
+/// untouched.
 #[derive(Debug)]
 pub struct StageSpan<'a> {
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     ns: &'a mut u64,
     #[cfg(feature = "telemetry")]
     start: Instant,
+    #[cfg(feature = "telemetry")]
+    hist: Option<Hist>,
 }
 
 impl Drop for StageSpan<'_> {
@@ -393,6 +400,9 @@ impl Drop for StageSpan<'_> {
         {
             let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             *self.ns = self.ns.saturating_add(ns);
+            if let Some(h) = self.hist {
+                observe(h, ns);
+            }
         }
     }
 }
@@ -401,10 +411,26 @@ impl Drop for StageSpan<'_> {
 /// drop.
 #[must_use]
 pub fn stage_span(ns: &mut u64) -> StageSpan<'_> {
+    start_stage(ns, None)
+}
+
+/// Starts a stage timer that adds its elapsed nanoseconds to `ns` and
+/// records them in histogram `h` on drop: one clock read at each end
+/// feeds both.
+#[must_use]
+pub fn stage_span_with(ns: &mut u64, h: Hist) -> StageSpan<'_> {
+    start_stage(ns, Some(h))
+}
+
+fn start_stage(ns: &mut u64, hist: Option<Hist>) -> StageSpan<'_> {
+    #[cfg(not(feature = "telemetry"))]
+    let _ = hist;
     StageSpan {
         ns,
         #[cfg(feature = "telemetry")]
         start: Instant::now(),
+        #[cfg(feature = "telemetry")]
+        hist,
     }
 }
 

@@ -337,7 +337,7 @@ static DEFAULT: OnceLock<&'static dyn CryptoBackend> = OnceLock::new();
 
 /// The process-wide default backend used by constructors that don't
 /// take an explicit one ([`crate::AesCtr::new`],
-/// [`crate::BlockMacEngine::new`]).
+/// [`crate::BlockMacEngine::new`], [`crate::Sha256::new`]).
 ///
 /// Resolution order, frozen at first use: an explicit
 /// [`set_default_backend`] call (the CLI's `--backend` flag), else the

@@ -158,6 +158,28 @@ mod tests {
         );
     }
 
+    /// Known answers from the portable compression: a derived key must
+    /// not depend on the backend `Sha256::new` hashes on, and CI runs
+    /// this under each one.
+    #[test]
+    fn derivations_match_known_answers() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let root = DeviceSecret::from_seed(5);
+        assert_eq!(hex(&root.0), "f13ee6ed54ea2aae9fc49a9faeb5da6e");
+        assert_eq!(
+            hex(&root.derive_tenant(3).0),
+            "e0061f3daf3df4b5b2c31fe7b5c2d330"
+        );
+        assert_eq!(
+            hex(&SessionKey::derive(&root, 11).0),
+            "ca10066ece28e3f41d59c640ecbed37e"
+        );
+        assert_eq!(
+            hex(&SessionKey::derive_epoch(&root, 11, 3).0),
+            "e7581407a4fc878d7cf96c8d3cd74c92"
+        );
+    }
+
     #[test]
     fn debug_redacts() {
         let key = SessionKey::derive(&DeviceSecret::from_seed(3), 9);

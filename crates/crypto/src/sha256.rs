@@ -36,12 +36,17 @@ pub(crate) fn k() -> &'static [u32; 64] {
     })
 }
 
+/// The initial hash value, derived once like [`k`]: the floating-point
+/// roots are far too slow to recompute for every hasher.
 pub(crate) fn iv() -> [u32; 8] {
-    let mut h = [0u32; 8];
-    for i in 0..8 {
-        h[i] = frac_root_bits(PRIMES[i], 2);
-    }
-    h
+    static IV: OnceLock<[u32; 8]> = OnceLock::new();
+    *IV.get_or_init(|| {
+        let mut h = [0u32; 8];
+        for i in 0..8 {
+            h[i] = frac_root_bits(PRIMES[i], 2);
+        }
+        h
+    })
 }
 
 /// One SHA-256 compression over a message block already loaded as 16
@@ -149,12 +154,9 @@ pub struct Sha256 {
     /// Round constants resolved once at construction so per-block
     /// compressions skip the `OnceLock` check.
     k: &'static [u32; 64],
-    /// Execution backend for the compression function.
-    ///
-    /// [`Self::new`] pins this to the portable software compression so
-    /// the incremental hasher stays the from-first-principles reference
-    /// other backends are differentially tested against;
-    /// [`Self::with_backend`] opts into hardware compression.
+    /// Execution backend for the compression function: the process
+    /// default for [`Self::new`], or the one [`Self::with_backend`]
+    /// names. Digests are the same on every backend.
     backend: crate::backend::Backend,
 }
 
@@ -165,10 +167,15 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher in the initial state (portable compression).
+    /// Creates a hasher in the initial state whose compressions run on
+    /// the process-wide [`crate::backend::default_backend`] (`SHA-NI`
+    /// where the host has it). Callers that must stay
+    /// backend-independent, like the serial datapath's
+    /// [`crate::xor_mac::block_mac`], use [`Self::with_backend`] with
+    /// [`crate::backend::portable`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_backend(crate::backend::portable())
+        Self::with_backend(crate::backend::default_backend())
     }
 
     /// Creates a hasher whose compressions run on `backend`. Digests
@@ -215,14 +222,14 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
+        // FIPS-180-4 §5.1.1 padding in one update: the 0x80 marker,
+        // zeros up to 56 mod 64, then the message length in bits.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        // Append length without re-counting it.
-        self.total_len = self.total_len.wrapping_sub(8); // neutralize the update below
-        self.update(&bit_len.to_be_bytes());
+        let zeros = (55 - self.buffer_len as isize).rem_euclid(64) as usize;
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..9 + zeros]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -398,6 +405,44 @@ mod tests {
                 let mut got = iv();
                 backend.sha256_compress(&mut got, &words, k());
                 assert_eq!(got, want, "backend {:?} case {case}", backend.kind());
+            }
+        }
+    }
+
+    /// Reference padding: the marker, then one zero byte per `update`
+    /// call until 56 mod 64, then the length.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0]);
+        }
+        h.update(&bit_len.to_be_bytes());
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_update_padding_matches_bytewise_padding() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for backend in crate::backend::available() {
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                for split in [0, 1, 55, 56, 63, 64, 65, 128, len / 2, len] {
+                    let split = split.min(len);
+                    let mut h = Sha256::with_backend(backend);
+                    h.update(&msg[..split]);
+                    h.update(&msg[split..]);
+                    assert_eq!(
+                        h.clone().finalize(),
+                        finalize_bytewise(h),
+                        "backend {:?} len {len} split {split}",
+                        backend.kind()
+                    );
+                }
             }
         }
     }

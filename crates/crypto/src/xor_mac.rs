@@ -10,7 +10,7 @@
 //! in any order — XOR is commutative, and the block index `I` inside the
 //! MAC pins each block to its position.
 
-use crate::backend::{default_backend, Backend};
+use crate::backend::{default_backend, portable, Backend};
 use crate::sha256::{iv, k, Sha256};
 
 /// A 256-bit XOR-accumulating MAC register (one of `MAC_W`, `MAC_R`,
@@ -111,9 +111,12 @@ pub struct BlockMacInput<'a> {
 /// `block` is the 64-byte *plaintext* content (the MAC is computed at the
 /// global-buffer boundary, before encryption on a write and after
 /// decryption on a read).
+///
+/// This is the serial datapath's reference MAC, so it hashes on the
+/// portable compression whatever the process default backend is.
 #[must_use]
 pub fn block_mac(input: BlockMacInput<'_>, block: &[u8; 64]) -> [u8; 32] {
-    let mut h = Sha256::new();
+    let mut h = Sha256::with_backend(portable());
     h.update(input.device_secret);
     h.update(&input.layer_id.to_be_bytes());
     h.update(&input.fmap_id.to_be_bytes());

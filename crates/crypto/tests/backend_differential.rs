@@ -139,7 +139,9 @@ fn random_digests_match_across_backends_and_lengths() {
         let len = (rng.next() % 500) as usize;
         let mut data = vec![0u8; len];
         rng.fill(&mut data);
-        let want = Sha256::digest(&data);
+        let mut reference = Sha256::with_backend(backend::portable());
+        reference.update(&data);
+        let want = reference.finalize();
         for b in backends() {
             let mut h = Sha256::with_backend(b);
             h.update(&data);

@@ -65,6 +65,21 @@ pub fn wire_identity(seed: u64) -> (DeviceSecret, u64) {
 mod tests {
     use super::*;
 
+    /// A known answer from the portable compression: the tag must not
+    /// depend on the backend, and CI runs this under each one.
+    #[test]
+    fn tag_matches_known_answer() {
+        let secret = DeviceSecret::from_seed(1).derive_tenant(2);
+        let hex: String = auth_tag(&secret, 2, 3, 4, 5)
+            .iter()
+            .map(|x| format!("{x:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "9518e10a574cb7c0ba8d452f65b6160f49d9963e99fe03b001ffee5ed93d42d5"
+        );
+    }
+
     #[test]
     fn tag_binds_every_input() {
         let secret = DeviceSecret::from_seed(1).derive_tenant(2);

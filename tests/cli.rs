@@ -145,6 +145,19 @@ fn campaign_reports_are_pinned() {
             ][..],
             include_str!("pinned/daemon-loopback-seed7-sessions4-requests1.txt"),
         ),
+        (
+            &[
+                "daemon",
+                "--loopback",
+                "--seed",
+                "7",
+                "--sessions",
+                "4",
+                "--requests",
+                "32",
+            ][..],
+            include_str!("pinned/daemon-loopback-seed7-sessions4-requests32.txt"),
+        ),
     ] {
         let pinned_threads = [args, &["--threads", "1"]].concat();
         for run_args in [args, &pinned_threads[..]] {
@@ -515,6 +528,48 @@ fn stats_subcommand_emits_the_telemetry_schema() {
     );
     let (code, _, stderr) = run_code(&["stats", "--format", "xml"]);
     assert_eq!(code, Some(2), "unknown format is a usage error: {stderr}");
+}
+
+/// Every seal batch, open batch and journal append is observed by its
+/// histogram exactly once, whether a layer step's stage timer timed it
+/// or the call's own span did (the resume path's re-verification and
+/// the epoch-open record have no stage timer).
+#[test]
+fn histograms_count_each_timed_batch_once() {
+    if !cfg!(feature = "telemetry") {
+        return;
+    }
+    let path = scratch("histograms.json");
+    let path_s = path.to_str().expect("utf-8 temp path");
+    let crash = [
+        "crash-campaign",
+        "--seed",
+        "5",
+        "--cuts",
+        "3",
+        "--metrics",
+        path_s,
+    ];
+    let (code, stats, _) = run_code(&["stats"]);
+    assert_eq!(code, Some(0), "{stats}");
+    let (code, stdout, _) = run_code(&crash);
+    assert_eq!(code, Some(0), "{stdout}");
+    let metrics = std::fs::read_to_string(&path).expect("--metrics file written");
+    std::fs::remove_file(&path).ok();
+    for doc in [stats, metrics] {
+        let observed = |hist: &str| {
+            let at = doc.find(&format!("\"{hist}\": {{")).expect(hist);
+            json_u64(&doc[at..], "count")
+        };
+        assert!(json_u64(&doc, "seal_batches") > 0, "{doc}");
+        assert_eq!(observed("seal_ns"), json_u64(&doc, "seal_batches"), "{doc}");
+        assert_eq!(observed("open_ns"), json_u64(&doc, "open_batches"), "{doc}");
+        assert_eq!(
+            observed("journal_append_ns"),
+            json_u64(&doc, "journal_appends"),
+            "{doc}"
+        );
+    }
 }
 
 /// The `--metrics` counters must agree *exactly* with the recovery
